@@ -8,7 +8,7 @@ MICRO-52, 2019) together with every substrate its evaluation depends on:
 * cache replacement policies including Hawkeye/OPTgen
   (:mod:`repro.replacement`),
 * the baseline prefetchers the paper compares against -- stride, Best
-  Offset, SMS, Markov, STMS, Domino, ISB and MISB
+  Offset, SMS, STMS, Domino, ISB and MISB
   (:mod:`repro.prefetchers`),
 * the Triage prefetcher itself (:mod:`repro.core`),
 * synthetic SPEC2006-like and CloudSuite-like workload generators

@@ -451,13 +451,15 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        import dataclasses
         import json
 
-        from repro.obs.report import load_run_dir, render_report
+        from repro.obs.report import load, render_report
 
         try:
             if args.json:
-                print(json.dumps(load_run_dir(Path(args.path)), sort_keys=True))
+                run = dataclasses.asdict(load(args.path))
+                print(json.dumps(run, default=str, sort_keys=True))
             else:
                 print(
                     render_report(

@@ -10,12 +10,13 @@ bumping :data:`KEY_SCHEMA_VERSION` or the package version invalidates
 every existing entry by construction (old entries simply stop being
 addressed; ``python -m repro cache clear`` reclaims the space).
 
-Keys are namespaced (``"sweep"`` vs ``"experiments.run_single"``)
-because different call sites interpret the *same* prefetcher name
-differently -- ``experiments.common.make_spec`` builds scale-adjusted
-Triage configurations while ``sim.factory.make_prefetcher`` builds the
-paper's full-size ones -- and a shared key would silently serve the
-wrong result across them.
+A prefetcher name means the same thing everywhere (one row of
+:data:`repro.sim.factory.TABLE`), but call sites build it at different
+machine scales: ``sim.factory.make_prefetcher`` (sweeps) at scale 1, the
+paper's full-size configurations, and ``experiments.common.make_spec``
+at the experiments' ``SCALE``.  Keys are namespaced (``"sweep"`` vs
+``"experiments.run_single"``) so the namespaces separate scales, not
+meanings; a shared key would serve one scale's result to the other.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import json
 from pathlib import Path
 from typing import Dict, Optional
 
-#: Bumped on any change to how keys or cached payloads are laid out.
-KEY_SCHEMA_VERSION = 1
+#: Bumped on any change to how keys or cached payloads are laid out, or
+#: to what a fingerprinted name builds (2: the dynamic Triage/Triangel
+#: names built at scale 1 switched to the experiments' controller wiring).
+KEY_SCHEMA_VERSION = 2
 
 
 class UncacheableSpec(TypeError):
@@ -80,14 +83,6 @@ def stable_hash(payload) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
-def _name_is_registered(name: str) -> bool:
-    """Whether any builder (factory or experiments) knows ``name``."""
-    from repro.experiments import common
-    from repro.sim import factory
-
-    return factory.is_registered(name) or common.is_registered(name)
-
-
 def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     """A canonical dict identifying a prefetcher spec, for key building.
 
@@ -106,28 +101,26 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     requesting the other.  The default (``"analytic"``) engine adds no
     entry, which keeps every pre-existing cache key addressable.
 
-    Name strings are validated against the builder registries
-    (``sim.factory.is_registered`` and ``experiments.common.
-    is_registered``): an unknown name raises :class:`UncacheableSpec`
-    instead of silently hashing -- a typo like ``"traige_1mb"`` would
-    otherwise mint its own cache namespace and every run under it would
-    miss forever while looking healthy.  Instances and factories also
-    raise :class:`UncacheableSpec`.
+    Name strings are validated with ``sim.factory.is_registered``, the
+    same parser every builder uses: an unknown name raises
+    :class:`UncacheableSpec` instead of silently hashing -- a typo like
+    ``"traige_1mb"`` would otherwise mint its own cache namespace and
+    every run under it would miss forever while looking healthy.
+    Instances and factories also raise :class:`UncacheableSpec`.
     """
     from repro import config as config_mod
     from repro.core.triage import TriageConfig
+    from repro.sim import factory
 
     if spec is None:
         fingerprint: Dict[str, object] = {"kind": "none"}
     elif isinstance(spec, str):
-        name = spec.lower().strip()
-        if not _name_is_registered(name):
+        if not factory.is_registered(spec):
             raise UncacheableSpec(
-                f"unknown prefetcher name {spec!r}: not registered with "
-                "sim.factory.make_prefetcher or experiments.common.make_spec "
-                "(refusing to hash a name no builder can construct)"
+                f"unknown prefetcher name {spec!r}: sim.factory cannot "
+                "build it (refusing to hash a name no builder can construct)"
             )
-        fingerprint = {"kind": "name", "name": name}
+        fingerprint = {"kind": "name", "name": spec.lower().strip()}
     elif isinstance(spec, TriageConfig):
         fingerprint = {"kind": "triage_config", "config": canonicalize(spec)}
     else:

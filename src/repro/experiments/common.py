@@ -19,40 +19,24 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.triage import TriageConfig
-from repro.prefetchers.best_offset import BestOffsetPrefetcher
-from repro.prefetchers.domino import DominoPrefetcher
-from repro.prefetchers.hybrid import HybridPrefetcher
-from repro.prefetchers.isb import IsbPrefetcher
-from repro.prefetchers.misb import MisbPrefetcher
-from repro.prefetchers.sms import SmsPrefetcher
-from repro.prefetchers.stms import StmsPrefetcher
-from repro.core.triage import TriagePrefetcher
-from repro.prefetchers.triangel import TriangelConfig, TriangelPrefetcher
 from repro.obs.manifest import log_cached_manifest
+from repro.sim import factory
 from repro.sim.config import MachineConfig
+from repro.sim.factory import (  # noqa: F401 -- re-exported for the harnesses
+    EPOCH_ACCESSES,
+    SCALE,
+    capacities_for_scale,
+    label,
+    triage_config,
+    triangel_config,
+)
 from repro.sim.multi_core import simulate_multicore
 from repro.sim.single_core import simulate
 from repro.sim.stats import MultiCoreResult, SimulationResult, geomean
 from repro.workloads import cloudsuite, mixes, spec
 
-KB = 1024
-MB = 1024 * KB
-
-#: Machine/workload scale factor (see module docstring).
-SCALE = 4
-
-#: The paper's metadata store candidates, scaled.
-CAP_SMALL = (512 * KB) // SCALE
-CAP_LARGE = (1 * MB) // SCALE
-CAPACITIES = (0, CAP_SMALL, CAP_LARGE)
-
-#: MISB's on-chip metadata budget (48 KB in Figure 11), scaled.
-MISB_ONCHIP = (48 * KB) // SCALE
-
-#: Partition re-evaluation epoch, scaled from the paper's 50 K metadata
-#: accesses to our ~SimPoint/100 trace lengths.
-EPOCH_ACCESSES = 3_000
+#: The paper's 512 KB and 1 MB metadata store candidates, scaled.
+_, CAP_SMALL, CAP_LARGE = capacities_for_scale(SCALE)
 
 #: Default single-core trace length (accesses).  A third of each trace
 #: is warmup (paper: 200 M-instruction warmup before each SimPoint); the
@@ -75,250 +59,15 @@ def quick_mode_default() -> bool:
     return os.environ.get("REPRO_QUICK", "") not in ("", "0")
 
 
-def capacities_for_scale(scale: int) -> tuple:
-    """The paper's {0, 512 KB, 1 MB} store candidates at a given scale."""
-    return (0, (512 * KB) // scale, (1 * MB) // scale)
-
-
-def triage_config(
-    capacity: Optional[int] = CAP_LARGE,
-    dynamic: bool = False,
-    replacement: str = "hawkeye",
-    degree: int = 1,
-    epoch_accesses: int = EPOCH_ACCESSES,
-    scale: int = SCALE,
-    **overrides,
-) -> TriageConfig:
-    """A TriageConfig wired for a machine at the given scale."""
-    return TriageConfig(
-        degree=degree,
-        metadata_capacity=capacity,
-        dynamic=dynamic,
-        capacities=capacities_for_scale(scale),
-        replacement=replacement,
-        epoch_accesses=epoch_accesses,
-        # Our traces start from a cold heap (the paper's SimPoints resume
-        # mid-execution), so the controller holds its allocation through
-        # the compulsory ramp, which warmup excludes from measurement.
-        partition_warmup_epochs=8,
-        **overrides,
-    )
-
-
-def triangel_config(
-    capacity: Optional[int] = CAP_LARGE,
-    dynamic: bool = False,
-    replacement: str = "reuse",
-    degree: int = 1,
-    epoch_accesses: int = EPOCH_ACCESSES,
-    scale: int = SCALE,
-    **overrides,
-) -> TriangelConfig:
-    """A TriangelConfig wired for a machine at the given scale.
-
-    Same scaling as :func:`triage_config`; only the defaults differ
-    (reuse-aware replacement, lookahead 2, sampling on -- the family's
-    own knobs come from :class:`TriangelConfig`).
-    """
-    return TriangelConfig(
-        degree=degree,
-        metadata_capacity=capacity,
-        dynamic=dynamic,
-        capacities=capacities_for_scale(scale),
-        replacement=replacement,
-        epoch_accesses=epoch_accesses,
-        partition_warmup_epochs=8,
-        **overrides,
-    )
-
-
 def make_spec(name: str, degree: int = 1, scale: int = SCALE):
-    """Build a prefetcher by paper-facing name for a machine at ``scale``.
+    """Build a prefetcher by name (:data:`repro.sim.factory.TABLE`) for a
+    machine at ``scale``.
 
     Returns a fresh instance per call (required for multi-core runs).
     Multi-core helpers pass ``scale=MULTI_SCALE`` so Triage's store
     candidates shrink with the multi-core machine.
     """
-    _, cap_small, cap_large = capacities_for_scale(scale)
-    misb_onchip = (48 * KB) // scale
-    builders = {
-        "none": lambda: None,
-        "bo": lambda: BestOffsetPrefetcher(degree=degree),
-        "sms": lambda: SmsPrefetcher(degree=degree),
-        "stms": lambda: StmsPrefetcher(degree=degree),
-        "domino": lambda: DominoPrefetcher(degree=degree),
-        "isb": lambda: IsbPrefetcher(degree=degree),
-        "misb": lambda: MisbPrefetcher(degree=degree, onchip_bytes=misb_onchip),
-        "triage_512kb": lambda: TriagePrefetcher(
-            triage_config(capacity=cap_small, degree=degree, scale=scale)
-        ),
-        "triage_1mb": lambda: TriagePrefetcher(
-            triage_config(capacity=cap_large, degree=degree, scale=scale)
-        ),
-        "triage_dynamic": lambda: TriagePrefetcher(
-            triage_config(dynamic=True, degree=degree, scale=scale)
-        ),
-        "triage_utility": lambda: TriagePrefetcher(
-            triage_config(
-                dynamic=True, degree=degree, scale=scale,
-                partition_policy="utility",
-                llc_data_bytes=(2 * MB) // scale,
-            )
-        ),
-        "triage_lru": lambda: TriagePrefetcher(
-            triage_config(
-                capacity=cap_large, replacement="lru", degree=degree, scale=scale
-            )
-        ),
-        "triage_ideal": lambda: TriagePrefetcher(
-            triage_config(capacity=None, degree=degree, scale=scale)
-        ),
-        "triage_noconf": lambda: TriagePrefetcher(
-            triage_config(
-                capacity=cap_large, degree=degree, scale=scale,
-                use_confidence=False,
-            )
-        ),
-        "triage_global": lambda: TriagePrefetcher(
-            triage_config(
-                capacity=cap_large, degree=degree, scale=scale,
-                pc_localized=False,
-            )
-        ),
-        "triangel": lambda: TriangelPrefetcher(
-            triangel_config(capacity=cap_large, degree=degree, scale=scale)
-        ),
-        "triangel_512kb": lambda: TriangelPrefetcher(
-            triangel_config(capacity=cap_small, degree=degree, scale=scale)
-        ),
-        "triangel_dynamic": lambda: TriangelPrefetcher(
-            triangel_config(dynamic=True, degree=degree, scale=scale)
-        ),
-        # Degenerate config: sampling off, lookahead 1, Hawkeye
-        # replacement -- issues Triage's exact stream (differential anchor).
-        "triangel_nosample": lambda: TriangelPrefetcher(
-            triangel_config(
-                capacity=cap_large, degree=degree, scale=scale,
-                sampling=False, lookahead=1, replacement="hawkeye",
-            )
-        ),
-        "triangel_nonuniform": lambda: TriangelPrefetcher(
-            triangel_config(
-                capacity=cap_large, degree=degree, scale=scale,
-                index_mode="nonuniform",
-            )
-        ),
-    }
-    name = name.lower()
-    if "+" in name:
-        parts = [p for p in name.split("+") if p]
-        return HybridPrefetcher([make_spec(p, degree, scale) for p in parts])
-    if name.startswith("triage@"):
-        # "triage@<bytes>[:repl[:tagbits]]" -- arbitrary store geometry,
-        # used by the Figure 9 sweep and the packing ablation.
-        parts = name.split("@", 1)[1].split(":")
-        capacity = int(parts[0])
-        replacement = parts[1] if len(parts) > 1 else "hawkeye"
-        tag_bits = int(parts[2]) if len(parts) > 2 else 10
-        return TriagePrefetcher(
-            triage_config(
-                capacity=capacity,
-                replacement=replacement,
-                degree=degree,
-                tag_bits=tag_bits,
-            )
-        )
-    try:
-        return builders[name]()
-    except KeyError:
-        raise ValueError(f"unknown experiment prefetcher {name!r}") from None
-
-
-#: Every name :func:`make_spec` can build (hybrids and the ``triage@``
-#: sweep pattern are handled structurally in :func:`is_registered`).
-#: Kept as an explicit literal so :mod:`repro.cache.keys` can validate
-#: names without building prefetchers; a test asserts every member
-#: actually builds.
-SPEC_NAMES = frozenset(
-    {
-        "none",
-        "bo",
-        "sms",
-        "stms",
-        "domino",
-        "isb",
-        "misb",
-        "triage_512kb",
-        "triage_1mb",
-        "triage_dynamic",
-        "triage_utility",
-        "triage_lru",
-        "triage_ideal",
-        "triage_noconf",
-        "triage_global",
-        "triangel",
-        "triangel_512kb",
-        "triangel_dynamic",
-        "triangel_nosample",
-        "triangel_nonuniform",
-    }
-)
-
-
-def is_registered(name: str) -> bool:
-    """Whether :func:`make_spec` can build ``name``.
-
-    Handles hybrid ``a+b`` names (every component must be registered)
-    and the ``triage@<bytes>[:repl[:tagbits]]`` sweep pattern.
-    """
-    if not isinstance(name, str):
-        return False
-    name = name.lower().strip()
-    if "+" in name:
-        parts = [p for p in name.split("+") if p]
-        return bool(parts) and all(is_registered(p) for p in parts)
-    if name.startswith("triage@"):
-        parts = name.split("@", 1)[1].split(":")
-        try:
-            int(parts[0])
-            if len(parts) > 2:
-                int(parts[2])
-        except ValueError:
-            return False
-        if len(parts) > 1 and parts[1] not in ("hawkeye", "lru", "reuse"):
-            return False
-        return len(parts) <= 3
-    return name in SPEC_NAMES
-
-
-#: Paper-facing labels for the configurations above.
-LABELS = {
-    "none": "NoL2PF",
-    "bo": "BO",
-    "sms": "SMS",
-    "stms": "STMS",
-    "domino": "Domino",
-    "isb": "Ideal-PC-Temporal",
-    "misb": "MISB_48KB",
-    "triage_512kb": "Triage_512KB",
-    "triage_1mb": "Triage_1MB",
-    "triage_dynamic": "Triage_Dynamic",
-    "triage_utility": "Triage_Utility",
-    "triage_lru": "Triage_LRU",
-    "triage_ideal": "Triage_Unbounded",
-    "triangel": "Triangel",
-    "triangel_512kb": "Triangel_512KB",
-    "triangel_dynamic": "Triangel_Dynamic",
-    "triangel_nosample": "Triangel_NoSample",
-    "triangel_nonuniform": "Triangel_NonUniform",
-    "bo+triage_dynamic": "BO+Triage-Dyn",
-    "bo+triage_1mb": "BO+Triage-Static",
-    "bo+sms": "BO+SMS",
-}
-
-
-def label(name: str) -> str:
-    return LABELS.get(name.lower(), name)
+    return factory.build(name, degree, scale)
 
 
 # -- memoized simulation runs ---------------------------------------------

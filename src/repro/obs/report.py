@@ -4,7 +4,9 @@
 :meth:`repro.obs.ObsSession.flush` wrote: ``manifests.jsonl``,
 ``epochs.jsonl`` (+ ``.csv``), ``events.jsonl``, ``metrics.json`` and
 optionally ``profile.txt``.  A bare ``*.jsonl`` file is also accepted
-and treated as an epoch time-series.
+and treated as an epoch time-series.  Both are read by the same
+tolerant reader as the HTML report (:mod:`repro.obs.reporting.discover`):
+torn or garbled lines are skipped and listed under "Problems".
 
 The epoch table is the diagnosis tool for diverging figures: it shows,
 per run and per epoch, the per-core metadata way split, store hit rate,
@@ -17,6 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+from repro.obs.reporting.discover import RunDir, load_run_dir, read_jsonl_tolerant
 
 #: Epoch columns promoted to the front of the table when present.
 _LEAD_COLUMNS = ("run", "epoch")
@@ -31,39 +35,15 @@ _DEFAULT_SUFFIXES = (
 )
 
 
-def _read_jsonl(path: Path) -> List[Dict[str, object]]:
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append(json.loads(line))
-    return rows
-
-
-def load_run_dir(path) -> Dict[str, object]:
-    """Load whatever observability artifacts exist under ``path``."""
+def load(path) -> RunDir:
+    """The run directory, or bare epochs file, at ``path``."""
     path = Path(path)
     if path.is_file():
-        return {"manifests": [], "epochs": _read_jsonl(path), "events": [], "metrics": {}}
+        epochs, problems = read_jsonl_tolerant(path)
+        return RunDir(path=path, epochs=epochs, problems=problems)
     if not path.is_dir():
         raise FileNotFoundError(f"no such run directory: {path}")
-    out: Dict[str, object] = {"manifests": [], "epochs": [], "events": [], "metrics": {}}
-    manifests = path / "manifests.jsonl"
-    if manifests.exists():
-        out["manifests"] = _read_jsonl(manifests)
-    epochs = path / "epochs.jsonl"
-    if epochs.exists():
-        out["epochs"] = _read_jsonl(epochs)
-    events = path / "events.jsonl"
-    if events.exists():
-        out["events"] = _read_jsonl(events)
-    metrics = path / "metrics.json"
-    if metrics.exists():
-        out["metrics"] = json.loads(metrics.read_text())
-    profile = path / "profile.txt"
-    if profile.exists():
-        out["profile"] = profile.read_text().rstrip("\n")
-    return out
+    return load_run_dir(path)
 
 
 def _format_table(headers: Sequence[str], rows: List[List[object]], title: str) -> str:
@@ -157,19 +137,21 @@ def render_report(
     verbatim below the per-category counts (``--events-tail`` on the
     ``report`` CLI).
     """
-    data = load_run_dir(path)
+    run = load(path)
     sections = []
-    if data["manifests"]:
-        sections.append(manifests_table(data["manifests"]))
-    sections.append(epochs_table(data["epochs"], columns=columns))
-    if data["events"]:
-        sections.append(events_table(data["events"], tail=events_tail))
-    if data["metrics"]:
-        rows = [[name, value] for name, value in sorted(data["metrics"].items())
+    if run.manifests:
+        sections.append(manifests_table(run.manifests))
+    sections.append(epochs_table(run.epochs, columns=columns))
+    if run.events:
+        sections.append(events_table(run.events, tail=events_tail))
+    if run.metrics:
+        rows = [[name, value] for name, value in sorted(run.metrics.items())
                 if not isinstance(value, dict)]
-        hist_rows = [[name, json.dumps(value)] for name, value in sorted(data["metrics"].items())
+        hist_rows = [[name, json.dumps(value)] for name, value in sorted(run.metrics.items())
                      if isinstance(value, dict)]
         sections.append(_format_table(["metric", "value"], rows + hist_rows, "Metrics"))
-    if "profile" in data:
-        sections.append(data["profile"])
+    if run.profile is not None:
+        sections.append(run.profile)
+    if run.problems:
+        sections.append("== Problems ==\n" + "\n".join(run.problems))
     return "\n\n".join(sections)

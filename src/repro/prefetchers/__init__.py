@@ -10,15 +10,11 @@ from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 from repro.prefetchers.stride import StridePrefetcher
 from repro.prefetchers.best_offset import BestOffsetPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
-from repro.prefetchers.markov import MarkovPrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
 from repro.prefetchers.domino import DominoPrefetcher
 from repro.prefetchers.isb import IsbPrefetcher
 from repro.prefetchers.misb import MisbPrefetcher
 from repro.prefetchers.hybrid import HybridPrefetcher
-from repro.prefetchers.ghb_delta import GhbDeltaPrefetcher
-from repro.prefetchers.sandbox import SandboxPrefetcher
-from repro.prefetchers.tcp import TagCorrelatingPrefetcher
 
 #: Triangel builds on :mod:`repro.core.triage`, which itself imports
 #: :mod:`repro.prefetchers.base` -- importing it eagerly here would close
@@ -40,18 +36,14 @@ __all__ = [
     "BasePrefetcher",
     "BestOffsetPrefetcher",
     "DominoPrefetcher",
-    "GhbDeltaPrefetcher",
     "HybridPrefetcher",
     "IsbPrefetcher",
-    "MarkovPrefetcher",
     "MisbPrefetcher",
     "PrefetchCandidate",
     "SampleTable",
-    "SandboxPrefetcher",
     "SmsPrefetcher",
     "StmsPrefetcher",
     "StridePrefetcher",
-    "TagCorrelatingPrefetcher",
     "TriangelConfig",
     "TriangelPrefetcher",
 ]

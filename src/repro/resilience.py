@@ -211,22 +211,11 @@ class SweepJournal:
 
     def load(self) -> Dict[str, Dict[str, object]]:
         """Completed entries by cell key (malformed lines are skipped)."""
-        entries: Dict[str, Dict[str, object]] = {}
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return entries
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                cell_key = entry["cell_key"]
-            except Exception:
-                continue  # torn/garbage line from a crash mid-append
-            entries[str(cell_key)] = entry
-        return entries
+        # Imported here: the reporting package is only needed on resume.
+        from repro.obs.reporting.discover import read_jsonl_tolerant
+
+        rows, _ = read_jsonl_tolerant(self.path)
+        return {str(row["cell_key"]): row for row in rows if "cell_key" in row}
 
     def record(self, cell_key: str, result_key: Optional[str] = None) -> None:
         """Durably append one completed cell."""

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cache import UncacheableSpec, spec_fingerprint
 from repro.core.triage import TriageConfig, TriagePrefetcher
+from repro.experiments import common
 from repro.prefetchers import (
     BasePrefetcher,
     BestOffsetPrefetcher,
@@ -11,7 +13,7 @@ from repro.prefetchers import (
     SmsPrefetcher,
 )
 from repro.prefetchers.triangel import TriangelConfig, TriangelPrefetcher
-from repro.sim.factory import is_registered, make_prefetcher
+from repro.sim.factory import TABLE, build, is_registered, label, make_prefetcher
 
 
 def test_none_specs():
@@ -37,6 +39,9 @@ def test_triage_variants():
     assert pf.metadata_capacity_bytes == 512 * 1024
     dyn = make_prefetcher("triage_dynamic")
     assert dyn.controller is not None
+    # The experiments' controller wiring, at the paper's full size.
+    assert dyn.config.epoch_accesses == common.EPOCH_ACCESSES
+    assert dyn.config.capacities == common.capacities_for_scale(1)
     lru = make_prefetcher("triage_lru")
     assert lru.config.replacement == "lru"
     ideal = make_prefetcher("triage_ideal")
@@ -65,16 +70,66 @@ def test_triangel_config_builds_triangel_not_triage():
     )
 
 
+#: Spellings beyond the table rows, and which of them must be rejected.
+EXTRA_NAMES = [
+    "", "bo ", "BO", "bo+none", "bo+triangel_dynamic", "triage@8192:lru:8",
+    "+", "none+none", "triage@4096:bogus", "triage@x", "triage@4096:lru:0",
+    "teleporting_prefetcher", "bo+teleporting_prefetcher", 42,
+]
+UNREGISTERED = {
+    "+", "none+none", "triage@4096:bogus", "triage@x", "triage@4096:lru:0",
+    "teleporting_prefetcher", "bo+teleporting_prefetcher", 42,
+}
+
+
+def _builds(name, scale) -> bool:
+    try:
+        build(name, 1, scale)
+    except ValueError:
+        return False
+    return True
+
+
 def test_is_registered():
-    assert is_registered("triangel")
-    assert is_registered("triage_1mb")
-    assert is_registered("bo+triangel_dynamic")
-    assert is_registered("none")
-    assert is_registered("")
-    assert not is_registered("teleporting_prefetcher")
-    assert not is_registered("bo+teleporting_prefetcher")
-    assert not is_registered("+")
-    assert not is_registered(42)
+    """One answer per name: registration, building at every scale the
+    simulator uses, and cache fingerprinting all agree."""
+    for name in list(TABLE) + EXTRA_NAMES:
+        registered = is_registered(name)
+        assert registered == (name not in UNREGISTERED), name
+        for scale in (1, common.SCALE, common.MULTI_SCALE):
+            assert _builds(name, scale) == registered, (name, scale)
+        if registered:
+            spec_fingerprint(name)
+        else:
+            with pytest.raises(UncacheableSpec):
+                spec_fingerprint(name)
+
+
+def test_labels():
+    legends = {
+        "none": "NoL2PF",
+        "bo": "BO",
+        "sms": "SMS",
+        "stms": "STMS",
+        "domino": "Domino",
+        "isb": "Ideal-PC-Temporal",
+        "misb": "MISB_48KB",
+        "triage_512kb": "Triage_512KB",
+        "triage_1mb": "Triage_1MB",
+        "triage_dynamic": "Triage_Dynamic",
+        "triage_utility": "Triage_Utility",
+        "triage_lru": "Triage_LRU",
+        "triage_ideal": "Triage_Unbounded",
+        "triangel": "Triangel",
+        "triangel_512kb": "Triangel_512KB",
+        "triangel_dynamic": "Triangel_Dynamic",
+        "triangel_nosample": "Triangel_NoSample",
+        "triangel_nonuniform": "Triangel_NonUniform",
+        "bo+triage_dynamic": "BO+Triage-Dyn",
+        "bo+triage_1mb": "BO+Triage-Static",
+        "bo+sms": "BO+SMS",
+    }
+    assert {name: label(name) for name in legends} == legends
 
 
 def test_hybrid_parsing():

@@ -20,7 +20,8 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.report import load_run_dir, render_report
+from repro.obs.report import render_report
+from repro.obs.reporting.discover import load_run_dir
 from repro.obs.sampler import EpochSampler
 from repro.sim.config import MachineConfig
 from repro.sim.single_core import simulate
@@ -333,9 +334,9 @@ class TestSimulatorIntegration:
             assert result.manifest.metrics["sim.accesses"] == len(trace)
             paths = session.flush()
         assert (tmp_path / "epochs.csv").exists()
-        data = load_run_dir(tmp_path)
-        assert len(data["epochs"]) == len(rows)
-        assert data["manifests"][0]["prefetcher"] == result.prefetcher
+        run = load_run_dir(tmp_path)
+        assert len(run.epochs) == len(rows)
+        assert run.manifests[0]["prefetcher"] == result.prefetcher
         assert paths["metrics"].exists()
         drain_run_log()
 

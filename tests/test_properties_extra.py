@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.metadata_store import ENTRIES_PER_LINE
 from repro.core.triage import TriageConfig, TriagePrefetcher
 from repro.prefetchers.isb import IsbPrefetcher
-from repro.prefetchers.sandbox import SandboxPrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
 from repro.prefetchers.triangel import TriangelConfig, TriangelPrefetcher
 from repro.replacement.reuse_aware import ReuseAwarePolicy
@@ -80,17 +79,6 @@ def test_dram_completions_monotone_per_request_time(reqs):
         assert done >= now + dram.params.base_latency - 1e-9
         assert dram.earliest_idle() >= last_bus
         last_bus = dram.earliest_idle()
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(lines, min_size=1, max_size=400))
-def test_sandbox_candidates_positive_and_bounded(stream):
-    pf = SandboxPrefetcher(degree=2, offsets=[1, -1, 4])
-    for line in stream:
-        candidates = pf.observe(0, line)
-        assert len(candidates) <= 2
-        for c in candidates:
-            assert c.line > 0
 
 
 # -- Triangel family ----------------------------------------------------------

@@ -285,6 +285,70 @@ def test_report_degrades_on_missing_and_truncated_artifacts(tmp_path):
     assert "Problems" in html
 
 
+# -- one torn-file fixture set, fed to every JSONL reader ---------------------
+
+
+def write_torn_jsonl(path, rows):
+    """``rows`` as JSONL plus the damage a crash or a bad disk leaves:
+    blank lines, a non-object JSON line, non-UTF-8 bytes and a record
+    truncated mid-write at the end."""
+    lines = [json.dumps(row, sort_keys=True).encode() for row in rows]
+    path.write_bytes(
+        b"\n" + b"\n\n".join(lines) + b"\n[1, 2, 3]\n\xff\xfe\xfa not utf-8\n\n"
+        + lines[0][: len(lines[0]) // 2]
+    )
+
+
+@pytest.fixture(scope="module")
+def torn_run(tmp_path_factory):
+    """A real flushed run directory whose JSONL files are all torn;
+    returns it with the number of complete rows per file."""
+    root = tmp_path_factory.mktemp("torn")
+    run_mini_sweep(root)
+    # A sweep samples no epochs; give the epochs file rows of its own.
+    (root / "epochs.jsonl").write_text("".join(
+        json.dumps({"run": "000:mcf:bo", "epoch": i, "coverage": 0.5}) + "\n"
+        for i in range(4)
+    ))
+    complete = {}
+    for name in ("manifests", "epochs", "events"):
+        path = root / f"{name}.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows, name
+        write_torn_jsonl(path, rows)
+        complete[name] = len(rows)
+    return root, complete
+
+
+def test_text_report_keeps_complete_rows_of_torn_files(torn_run, capsys):
+    root, complete = torn_run
+    assert main(["report", str(root)]) == 0
+    assert "== Problems ==" in capsys.readouterr().out
+    assert main(["report", str(root), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {name: len(payload[name]) for name in complete} == complete
+    assert len(payload["problems"]) == 3 * len(complete)
+
+
+def test_html_report_keeps_complete_rows_of_torn_files(torn_run, tmp_path, capsys):
+    root, complete = torn_run
+    assert main(["report", "html", str(root), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "report-manifest.json").read_text())
+    assert {name: manifest["runs"][0][name] for name in complete} == complete
+
+
+def test_journal_keeps_complete_rows_of_torn_file(tmp_path):
+    from repro import resilience
+
+    rows = [{"cell_key": f"cell-{i}", "result_key": f"result-{i}", "unix": 0.0}
+            for i in range(3)]
+    path = tmp_path / "grid.jsonl"
+    write_torn_jsonl(path, rows)
+    assert resilience.SweepJournal(path).load() == {
+        row["cell_key"]: row for row in rows
+    }
+
+
 def test_report_error_on_manifestless_tree(tmp_path):
     (tmp_path / "notes.txt").write_text("nothing here")
     with pytest.raises(ReportError, match="no discoverable run manifests"):

@@ -144,8 +144,10 @@ class TestKeys:
                 cache.spec_fingerprint(bogus)
 
     def test_registered_names_from_both_registries_fingerprint(self):
-        # Factory-only ("stride"), experiments-only ("triage_noconf" and
-        # the sweep pattern), and both ("triangel", hybrids).
+        # Names that once lived in only one of two registries (the
+        # factory's "stride", the experiments' "triage_noconf" and sweep
+        # pattern) or in both ("triangel", hybrids) all come from the one
+        # table now, and each must still fingerprint as itself.
         for name in (
             "stride",
             "triage_noconf",
