@@ -83,7 +83,7 @@ def stable_hash(payload) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
-def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
+def spec_fingerprint(spec) -> Dict[str, object]:
     """A canonical dict identifying a prefetcher spec, for key building.
 
     Accepts the cache-friendly subset of
@@ -93,14 +93,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     name into the fingerprint, so a Triangel config never collides with
     the Triage config sharing its fields).
 
-    The *simulation engine* is folded in as well: ``engine`` defaults to
-    the :envvar:`REPRO_ENGINE` resolution, and any non-default engine
-    adds an ``"engine"`` entry to the fingerprint.  Engines are required
-    to be bit-identical, but the manifests they stamp are not, so a
-    warm-cache result recorded under one engine is never served to a run
-    requesting the other.  The default (``"analytic"``) engine adds no
-    entry, which keeps every pre-existing cache key addressable.
-
     Name strings are validated with ``sim.factory.is_registered``, the
     same parser every builder uses: an unknown name raises
     :class:`UncacheableSpec` instead of silently hashing -- a typo like
@@ -108,7 +100,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     every run under it would miss forever while looking healthy.
     Instances and factories also raise :class:`UncacheableSpec`.
     """
-    from repro import config as config_mod
     from repro.core.triage import TriageConfig
     from repro.sim import factory
 
@@ -128,9 +119,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
             f"prefetcher spec of type {type(spec).__name__} has no stable "
             "fingerprint"
         )
-    resolved = engine if engine is not None else config_mod.engine_env()
-    if resolved != "analytic":
-        fingerprint["engine"] = resolved
     return fingerprint
 
 

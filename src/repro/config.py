@@ -24,13 +24,6 @@ Knobs parsed here on behalf of the observability layer:
     Serve p95 latency target in seconds for
     :func:`repro.obs.slo.default_serve_slos` (defaults to the
     degradation ladder's 0.100 s target).
-``REPRO_ENGINE``
-    Default single-core simulation engine for
-    :func:`repro.sim.simulate`: ``analytic`` (the scalar reference
-    engine) or ``batched`` (the struct-of-arrays fast path, see
-    ``docs/performance.md``).  Unset -> ``analytic``; anything else
-    warns once and falls back to ``analytic``.  An explicit
-    ``simulate(..., engine=...)`` argument always wins over the knob.
 """
 
 from __future__ import annotations
@@ -40,15 +33,10 @@ import sys
 from typing import Callable, Optional, Tuple
 
 __all__ = [
-    "ENGINES",
-    "engine_env",
     "forget_warnings",
     "positive_env",
     "warn_once",
 ]
-
-#: Recognised single-core simulation engines, in preference order.
-ENGINES: Tuple[str, ...] = ("analytic", "batched")
 
 #: Keys already warned about (warn once per process).  A key is any
 #: hashable; numeric-env warnings use ``("env", name, raw)``.
@@ -146,24 +134,3 @@ def slo_target_env(default_s: float) -> float:
     value = positive_env("REPRO_SLO", float, minimum=1e-6)
     return float(value) if value is not None else default_s
 
-
-def engine_env(default: str = "analytic") -> str:
-    """``REPRO_ENGINE`` as a validated engine name, else ``default``.
-
-    Unknown values are ignored loudly (warn-once + ``config.invalid_env``
-    event), mirroring the numeric-knob discipline above.
-    """
-    raw = os.environ.get("REPRO_ENGINE", "")
-    if not raw:
-        return default
-    value = raw.strip().lower()
-    if value in ENGINES:
-        return value
-    warn_once(
-        ("env", "REPRO_ENGINE", raw),
-        f"ignoring invalid REPRO_ENGINE={raw!r} "
-        f"(want one of: {', '.join(ENGINES)})",
-        variable="REPRO_ENGINE",
-        value=raw,
-    )
-    return default

@@ -9,8 +9,8 @@ timing calls entirely, so this module costs nothing by default.
 
 Beyond totals, each phase tracks the per-call spread (mean/min/max over
 the individual :meth:`~PhaseTimer.add`/:meth:`~PhaseTimer.phase`
-credits), which is what the benchmark harness's timing tables
-(:mod:`repro.obs.bench`) consume.
+credits), which ``repro profile``'s table (:meth:`PhaseTimer.table`)
+prints next to the totals.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Simulation engine: configs, drivers, timing, stats and energy."""
 
-from repro.sim.batched import simulate_batched
 from repro.sim.config import MachineConfig
 from repro.sim.energy import metadata_energy, misb_vs_triage_energy
 from repro.sim.factory import make_prefetcher
@@ -15,6 +14,5 @@ __all__ = [
     "metadata_energy",
     "misb_vs_triage_energy",
     "simulate",
-    "simulate_batched",
     "simulate_multicore",
 ]

@@ -13,7 +13,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro import config as config_mod
 from repro.core.triage import TriagePrefetcher
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import CacheHierarchy, CoreCounters
@@ -120,7 +119,6 @@ def simulate(
     warmup_accesses: int = 0,
     name: Optional[str] = None,
     obs: Optional[ObsSession] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate ``trace`` on a single core and return the result.
 
@@ -134,26 +132,7 @@ def simulate(
     ``obs`` is an explicit observability session; when omitted the
     globally enabled one (``repro.obs.enable``) is used, and when neither
     exists the run is uninstrumented (the default, zero-overhead path).
-
-    ``engine`` picks the execution strategy: ``"analytic"`` is this
-    module's scalar reference loop, ``"batched"`` the bit-identical
-    struct-of-arrays fast path in :mod:`repro.sim.batched`.  ``None``
-    defers to the ``REPRO_ENGINE`` environment knob (default analytic).
     """
-    resolved = engine if engine is not None else config_mod.engine_env()
-    if resolved == "batched":
-        from repro.sim.batched import simulate_batched
-
-        return simulate_batched(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-        )
-    if resolved != "analytic":
-        raise ValueError(
-            f"unknown engine {resolved!r}; one of {config_mod.ENGINES}"
-        )
     wall_start = time.perf_counter()
     config = machine or MachineConfig.single_core()
     if config.n_cores != 1:

@@ -267,6 +267,11 @@ class TestCompare:
         comparison = bench.compare_records(_record(), _record())
         assert comparison.ok
         assert "wall_time_mean_s" in [row[0] for row in comparison.rows]
+        # Older records carry an ``engine`` field; it is history, not a
+        # compare dimension, so the wall-time gate still applies.
+        comparison = bench.compare_records(_record(engine="batched"), _record())
+        assert comparison.ok and not comparison.notes
+        assert "wall_time_mean_s" in [row[0] for row in comparison.rows]
 
     def test_kpi_within_tolerance_passes(self):
         candidate = _record()

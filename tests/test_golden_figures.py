@@ -111,16 +111,6 @@ def test_figure_reproduces_golden(name):
     assert_matches_golden(summary, golden, name)
 
 
-def test_fig05_reproduces_golden_under_batched_engine(monkeypatch):
-    # The batched engine must replay the *same* golden as the scalar
-    # engine -- bit-identical KPIs are its contract, so it gets no
-    # golden file of its own.
-    golden = json.loads((GOLDEN_DIR / "fig05.json").read_text())
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    summary = compute_summary(FIGURES["fig05"])
-    assert_matches_golden(summary, golden, "fig05[batched]")
-
-
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, module in sorted(FIGURES.items()):

@@ -349,6 +349,25 @@ def test_journal_keeps_complete_rows_of_torn_file(tmp_path):
     }
 
 
+@pytest.mark.parametrize("damage", ["truncated", "non_utf8"])
+def test_dashboard_and_compare_reject_torn_bench_file(tmp_path, capsys, damage):
+    text = json.dumps([make_bench_record("t"), make_bench_record("t")]).encode()
+    torn = text[: len(text) // 2] if damage == "truncated" else b"\xff\xfe" + text
+    path = tmp_path / "BENCH_t.json"
+    path.write_bytes(torn)
+
+    assert main(["dashboard", str(tmp_path), "--json"]) == 0
+    out, err = capsys.readouterr()
+    (entry,) = json.JSONDecoder().raw_decode(out)[0]["experiments"]
+    assert entry["records"] == 0
+    assert len(entry["problems"]) == 1 and str(path) in entry["problems"][0]
+    assert "Traceback" not in err
+
+    assert main(["compare", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+
 def test_report_error_on_manifestless_tree(tmp_path):
     (tmp_path / "notes.txt").write_text("nothing here")
     with pytest.raises(ReportError, match="no discoverable run manifests"):

@@ -27,6 +27,7 @@ import pytest
 from repro import cache
 from repro.cache.keys import KEY_SCHEMA_VERSION
 from repro.core.triage import TriageConfig
+from repro.experiments.common import run_single_cache_key
 from repro.prefetchers.best_offset import BestOffsetPrefetcher
 from repro.sim.config import MachineConfig
 from repro.sim.single_core import simulate
@@ -192,6 +193,18 @@ class TestKeys:
         assert same == cache.trace_key("spec", "mcf", 4000, 1, 4)
         assert same != cache.trace_key("spec", "mcf", 4000, 2, 4)
         assert same != cache.trace_key("cloudsuite", "mcf", 4000, 1, 4)
+
+    @pytest.mark.parametrize("args, digest", [
+        (("mcf", "triage_1mb", 4000, 1),
+         "3c76250b9e50243fd6e4748fd3644eecb9b3d5ab46eb3b3fd330c386e330a521"),
+        (("libquantum", "bo", 4000, 2),
+         "dafb20ac8d7bb350f8f4d0e24581d7ab07ce4727cef67efb07fc0e4c19edd85a"),
+    ])
+    def test_run_single_key_is_pinned(self, args, digest):
+        # Pinned across commits: a digest change orphans every warm cache
+        # entry, so it must come with a KEY_SCHEMA_VERSION bump.
+        bench, prefetcher, n, seed = args
+        assert run_single_cache_key(bench, prefetcher, n=n, seed=seed) == digest
 
 
 class TestRoundTrip:
