@@ -499,12 +499,19 @@ def main(argv=None) -> int:
     from repro import obs
 
     if args.command == "profile":
+        from repro.obs.report import phases_table
+
         session = obs.enable(profile=True)
+        tracer = session.tracer
         try:
-            _run_experiments(selected, args.quick)
+            # One root span per experiment: trace_gen and every sim.run
+            # attach under it, so their phase spans are recorded.
+            for name, module in selected:
+                with tracer.start_trace("profile", name, experiment=name):
+                    _run_experiments([(name, module)], args.quick)
         finally:
             obs.disable()
-        print(session.profiler.table())
+        print(phases_table(tracer.records(), evicted=tracer.finished - len(tracer)))
         return 0
 
     want_report = args.report or os.environ.get("REPRO_REPORT", "") not in ("", "0")

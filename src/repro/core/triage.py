@@ -136,11 +136,11 @@ class TriagePrefetcher(BasePrefetcher):
         #: to resize the LLC's data ways.
         self.on_partition_change = on_partition_change
         self._pending_capacity: Optional[int] = None
-        #: Optional observability sink (``.emit(category, severity, **f)``)
-        #: and phase timer (``.add(name, seconds)``), attached by the
-        #: simulation engine when observability/profiling is on.
+        #: Optional observability sink (``.emit(category, severity, **f)``),
+        #: attached by the simulation engine when observability is on, and
+        #: seconds spent in :meth:`observe` (``None`` unless profiling).
         self.events = None
-        self.profile = None
+        self.profile: Optional[float] = None
 
     # -- prefetcher interface -------------------------------------------------
 
@@ -189,7 +189,7 @@ class TriagePrefetcher(BasePrefetcher):
 
         self._apply_pending_partition()
         if profile is not None:
-            profile.add("metadata_store", time.perf_counter() - profile_start)
+            self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
 
     def feedback(self, candidate: PrefetchCandidate, source: str) -> None:

@@ -153,13 +153,18 @@ def run_single_cache_key(
 
 
 def _trace_gen_phase():
-    """Scoped ``trace_gen`` profiling phase (no-op without a session)."""
+    """A ``phase.trace_gen`` span under the current span, if any.
+
+    A no-op without a session or without a current span to attach to.
+    """
     from contextlib import nullcontext
 
     from repro.obs import get_session
 
     session = get_session()
-    return nullcontext() if session is None else session.phase("trace_gen")
+    if session is None:
+        return nullcontext()
+    return session.tracer.span("phase.trace_gen")
 
 
 def get_trace(bench: str, n: int, seed: int = 1, suite: str = "spec"):

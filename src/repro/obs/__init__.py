@@ -15,7 +15,9 @@ taxing the default path:
   evictions) with severity/category filtering;
 * :mod:`repro.obs.tracing` -- causal spans (trace/span/parent ids,
   derived deterministically from seeded tokens) with JSONL export, the
-  per-request / per-cell waterfall source;
+  per-request / per-cell waterfall source and the one record of phase
+  wall time (``phase.*`` spans: trace gen, L2 stream, prefetchers,
+  metadata store);
 * :mod:`repro.obs.slo` -- declarative service-level objectives with
   multi-window burn-rate verdicts;
 * :mod:`repro.obs.exposition` -- Prometheus text exposition of the
@@ -23,10 +25,9 @@ taxing the default path:
 * :mod:`repro.obs.manifest` -- run manifests (config, workload, seed,
   trace length, wall time, package version, metric dump) attached to
   every :class:`~repro.sim.stats.SimulationResult`;
-* :mod:`repro.obs.profiling` -- scoped wall-time attribution to phases
-  (trace gen, L2 stream, prefetcher, metadata store);
 * :mod:`repro.obs.report` -- renders a flushed run directory back into
-  human-readable tables (``python -m repro report <dir>``);
+  human-readable tables (``python -m repro report <dir>``), including
+  the phase wall-time table that ``python -m repro profile`` prints;
 * :mod:`repro.obs.bench` -- timed, KPI-stamped benchmark records in
   append-only ``BENCH_<experiment>.json`` trajectories with regression
   comparison (``python -m repro bench <exp>`` / ``repro compare``).
@@ -35,7 +36,8 @@ Observability is **off by default**: the simulators only instrument when
 an :class:`ObsSession` is active (passed explicitly or enabled globally
 via :func:`enable`), and component hooks are single ``is None`` checks,
 so the disabled path adds no keys to hot-path dicts and no measurable
-wall time.
+wall time.  Per-access phase timing costs more still, so it needs its
+own opt-in, ``ObsSession(profile=True)``.
 
 Usage::
 
@@ -50,13 +52,12 @@ Usage::
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.events import TraceEventStream
 from repro.obs.manifest import RunManifest
-from repro.obs.profiling import PhaseTimer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import EpochSampler
 from repro.obs.tracing import Tracer
@@ -68,27 +69,6 @@ __all__ = [
     "disable",
     "get_session",
 ]
-
-
-class _StackedContext:
-    """Enter/exit several context managers as one (profiler phase + span)."""
-
-    __slots__ = ("_cms",)
-
-    def __init__(self, *cms):
-        self._cms = cms
-
-    def __enter__(self):
-        for cm in self._cms:
-            cm.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        suppressed = False
-        for cm in reversed(self._cms):
-            if cm.__exit__(exc_type, exc, tb):
-                suppressed = True
-        return suppressed
 
 
 class RunObserver:
@@ -104,7 +84,6 @@ class RunObserver:
         self.session = session
         self.run_id = run_id
         self.epoch = 0
-        self.profiler = session.profiler
         self._started = time.perf_counter()
 
     # -- trace events (duck-typed sink for component hooks) --------------
@@ -139,10 +118,14 @@ class RunObserver:
 
 
 class ObsSession:
-    """One observability scope: registry + sampler + events + profiler.
+    """One observability scope: registry + sampler + events + tracer.
 
     A session typically spans one experiment invocation (many simulate
     calls); :meth:`flush` writes everything it accumulated to disk.
+
+    ``profile=True`` makes the engines time their hot loop per access
+    and file the seconds as ``phase.*`` spans under each ``sim.run``; it
+    turns tracing on, since spans are where phase time is recorded.
     """
 
     def __init__(
@@ -152,14 +135,9 @@ class ObsSession:
         min_severity: str = "debug",
         categories: Optional[Sequence[str]] = None,
         profile: bool = False,
-        capacity: Optional[int] = None,
         trace: Optional[bool] = None,
         trace_capacity: Optional[int] = None,
     ):
-        if capacity is not None and event_capacity is not None:
-            raise TypeError("pass capacity or event_capacity, not both")
-        if capacity is not None:
-            event_capacity = capacity
         self.registry = MetricsRegistry()
         self.sampler = EpochSampler()
         self.events = TraceEventStream(
@@ -167,10 +145,12 @@ class ObsSession:
             min_severity=min_severity,
             categories=categories,
         )
+        self.profile = bool(profile)
         # ``trace=None`` defers to REPRO_TRACE (enabled by default):
         # tracing costs nothing until a component actually opens a trace.
-        self.tracer = Tracer(capacity=trace_capacity, enabled=trace)
-        self.profiler: Optional[PhaseTimer] = PhaseTimer() if profile else None
+        self.tracer = Tracer(
+            capacity=trace_capacity, enabled=True if profile else trace
+        )
         self.manifests: List[RunManifest] = []
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._next_run = 0
@@ -182,22 +162,6 @@ class ObsSession:
         run_id = f"{self._next_run:03d}:{workload}:{prefetcher}"
         self._next_run += 1
         return RunObserver(self, run_id)
-
-    def phase(self, name: str):
-        """Scoped wall-time attribution (no-op when profiling is off).
-
-        When tracing is on *and* a span is current (e.g. a sweep cell's
-        trace), the phase also records a ``phase.<name>`` child span, so
-        waterfalls show where a cell's wall time went.
-        """
-        if self.tracer.enabled and self.tracer.current() is not None:
-            span_cm = self.tracer.span(f"phase.{name}")
-            if self.profiler is None:
-                return span_cm
-            return _StackedContext(self.profiler.phase(name), span_cm)
-        if self.profiler is None:
-            return nullcontext()
-        return self.profiler.phase(name)
 
     # -- export ------------------------------------------------------------
 
@@ -221,10 +185,6 @@ class ObsSession:
         paths["metrics"] = metrics_path
         if len(self.tracer):
             paths["spans"] = self.tracer.write_jsonl(target / "spans.jsonl")
-        if self.profiler is not None:
-            profile_path = target / "profile.txt"
-            profile_path.write_text(self.profiler.table() + "\n")
-            paths["profile"] = profile_path
         return paths
 
 

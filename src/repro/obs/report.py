@@ -3,7 +3,7 @@
 ``python -m repro report <dir>`` points here.  A run directory is what
 :meth:`repro.obs.ObsSession.flush` wrote: ``manifests.jsonl``,
 ``epochs.jsonl`` (+ ``.csv``), ``events.jsonl``, ``metrics.json`` and
-optionally ``profile.txt``.  A bare ``*.jsonl`` file is also accepted
+optionally ``spans.jsonl``.  A bare ``*.jsonl`` file is also accepted
 and treated as an epoch time-series.  Both are read by the same
 tolerant reader as the HTML report (:mod:`repro.obs.reporting.discover`):
 torn or garbled lines are skipped and listed under "Problems".
@@ -12,6 +12,10 @@ The epoch table is the diagnosis tool for diverging figures: it shows,
 per run and per epoch, the per-core metadata way split, store hit rate,
 DRAM utilization and coverage -- the internal trajectory behind the
 end-of-run aggregate (see ``docs/observability.md``).
+
+:func:`phases_table` sums the ``phase.*`` spans of a profiled run; both
+``repro report`` (from ``spans.jsonl``) and ``repro profile`` (from the
+live tracer) print it.
 """
 
 from __future__ import annotations
@@ -126,6 +130,68 @@ def events_table(events: List[Dict[str, object]], tail: int = 8) -> str:
     return out
 
 
+def _span_seconds(span: Dict[str, object]) -> Optional[float]:
+    start, end = span.get("start"), span.get("end")
+    if isinstance(start, (int, float)) and isinstance(end, (int, float)):
+        return float(end) - float(start)
+    return None
+
+
+def phases_table(spans: List[Dict[str, object]], evicted: int = 0) -> str:
+    """Wall time per ``phase.*`` span name, most expensive first.
+
+    Each row sums that phase's spans: total seconds, share of the
+    top-level phase time, span count, and mean/min/max seconds per
+    span.  A phase nested under another phase (``metadata_store``
+    under ``l2_prefetcher``) is a slice of its parent, so it gets a
+    share but does not add to the total.  Ties sort alphabetically.
+    ``evicted`` is how many older span records the tracer's ring
+    dropped; the sums then undercount, and the table says so.
+    """
+    title = "Wall-time by phase"
+    phase_ids = {
+        s.get("span_id") for s in spans
+        if str(s.get("name", "")).startswith("phase.")
+    }
+    durations: Dict[str, List[float]] = {}
+    total = 0.0
+    for span in spans:
+        name = str(span.get("name", ""))
+        seconds = _span_seconds(span)
+        if not name.startswith("phase.") or seconds is None:
+            continue
+        durations.setdefault(name[len("phase."):], []).append(seconds)
+        if span.get("parent_id") not in phase_ids:
+            total += seconds
+    if not durations:
+        table = f"== {title} ==\n(no phase spans)"
+    else:
+        phases = sorted(
+            ((name, sum(d), d) for name, d in durations.items()),
+            key=lambda row: (-row[1], row[0]),
+        )
+        rows = [
+            [
+                name,
+                f"{secs:.3f}",
+                f"{secs / total if total else 0.0:.1%}",
+                len(d),
+                f"{secs / len(d):.6f}",
+                f"{min(d):.6f}",
+                f"{max(d):.6f}",
+            ]
+            for name, secs, d in phases
+        ]
+        headers = ["phase", "seconds", "share", "spans", "mean", "min", "max"]
+        table = _format_table(headers, rows, title) + f"\ntotal: {total:.3f}s"
+    if evicted:
+        table += (
+            f"\n{evicted} older span records were evicted from the ring;"
+            " the sums above undercount (raise REPRO_TRACE=<capacity>)"
+        )
+    return table
+
+
 def render_report(
     path,
     columns: Optional[Sequence[str]] = None,
@@ -150,8 +216,8 @@ def render_report(
         hist_rows = [[name, json.dumps(value)] for name, value in sorted(run.metrics.items())
                      if isinstance(value, dict)]
         sections.append(_format_table(["metric", "value"], rows + hist_rows, "Metrics"))
-    if run.profile is not None:
-        sections.append(run.profile)
+    if any(str(s.get("name", "")).startswith("phase.") for s in run.spans):
+        sections.append(phases_table(run.spans))
     if run.problems:
         sections.append("== Problems ==\n" + "\n".join(run.problems))
     return "\n\n".join(sections)

@@ -2,7 +2,7 @@
 
 A *run directory* is whatever :meth:`repro.obs.ObsSession.flush` wrote:
 ``manifests.jsonl``, ``epochs.jsonl``, ``events.jsonl``,
-``metrics.json`` and optionally ``profile.txt``.  The discovery walk
+``metrics.json`` and optionally ``spans.jsonl``.  The discovery walk
 also picks up ``BENCH_*.json`` benchmark trajectories anywhere in the
 tree and checkpoint journals (``journal/*.jsonl`` under a cache root).
 
@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Files whose presence makes a directory a run directory.
 RUN_DIR_MARKERS = ("manifests.jsonl", "epochs.jsonl", "events.jsonl", "metrics.json")
@@ -77,7 +77,6 @@ class RunDir:
     events: List[Dict[str, object]] = field(default_factory=list)
     spans: List[Dict[str, object]] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
-    profile: Optional[str] = None
     problems: List[str] = field(default_factory=list)
 
     @property
@@ -171,12 +170,6 @@ def load_run_dir(path) -> RunDir:
                 run.problems.append(f"{metrics}: not a JSON object; ignored")
         except (OSError, json.JSONDecodeError):
             run.problems.append(f"{metrics}: unreadable or malformed; ignored")
-    profile = path / "profile.txt"
-    if profile.exists():
-        try:
-            run.profile = profile.read_text(errors="replace").rstrip("\n")
-        except OSError:
-            run.problems.append(f"{profile}: unreadable; ignored")
     return run
 
 

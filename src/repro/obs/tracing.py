@@ -5,8 +5,13 @@ and free-form attributes; spans form trees via ``parent_id`` and trees
 group into **traces** via ``trace_id``.  The serving layer opens one
 trace per request (admission -> queued -> breaker gate -> execute ->
 session apply), the sweep engine opens one per cell, and the simulation
-engines attach ``sim.run`` (and profiler-phase) spans underneath
-whichever of those is current.
+engines attach ``sim.run`` spans underneath whichever of those is
+current.  Phase wall time lives here too, and only here: with
+``ObsSession(profile=True)`` each ``sim.run`` gets ``phase.*`` children
+(``phase.metadata_store`` nested under ``phase.l2_prefetcher`` in the
+analytic engines), and trace generation files ``phase.trace_gen``
+under the current span; :func:`repro.obs.report.phases_table` sums
+them.
 
 Determinism is the design center, mirroring the rest of the repo:
 
@@ -341,17 +346,20 @@ class Tracer:
 
     def event(
         self, parent, name: str, start: float, end: float, **attrs
-    ) -> None:
+    ) -> Optional[Span]:
         """Record an already-measured child span in one call.
 
-        Used to synthesize profiler-phase children after the fact: the
-        engines accumulate phase seconds with raw ``perf_counter``
-        deltas (too hot to wrap in live spans), then file them here.
+        Used to file ``phase.*`` spans after the fact: the engines
+        accumulate phase seconds with raw ``perf_counter`` deltas (too
+        hot to wrap in live spans), then file them here.  Returns the
+        finished span, so a sub-phase can be filed under it, or ``None``
+        when nothing was recorded.
         """
         if not self.enabled or parent is NULL_SPAN or parent is None:
-            return
+            return None
         span = self.start_span(name, parent=parent, t=start, **attrs)
         self.finish(span, t=end)
+        return span
 
     # -- inspection / export ----------------------------------------------
 

@@ -192,7 +192,7 @@ class TriangelPrefetcher(TriagePrefetcher):
 
         self._apply_pending_partition()
         if profile is not None:
-            profile.add("metadata_store", time.perf_counter() - profile_start)
+            self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
 
     # -- issue walk -----------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.sim.factory import PrefetcherSpec, make_prefetcher
 from repro.sim.single_core import (
     _MetadataPartition,
     _finish_sim_span,
+    _metadata_store_seconds,
     _open_sim_span,
     _register_dram_metrics,
     _register_run_metrics,
@@ -104,9 +105,7 @@ def simulate_multicore(
             "+".join(t.name for t in traces),
             prefetchers[0].name if prefetchers[0] is not None else "none",
         )
-        attach_observability(
-            run, all_triages, dram=dram, profiler=session.profiler
-        )
+        attach_observability(run, all_triages, dram=dram)
         sim_span = _open_sim_span(
             session, run, "analytic-multi",
             "+".join(t.name for t in traces),
@@ -202,8 +201,7 @@ def simulate_multicore(
         prev_bytes = hierarchy.traffic.total_bytes
         accesses_in_epoch = 0
 
-    prof = session.profiler if session is not None else None
-    profiling = prof is not None
+    profiling = session is not None and session.profile
     t_stream = t_l1pf = t_l2pf = 0.0
     t0 = 0.0
     for step in range(warmup_accesses_per_core + accesses_per_core):
@@ -269,15 +267,6 @@ def simulate_multicore(
         if accesses_in_epoch >= epoch_accesses:
             close_epoch()
     close_epoch()
-    if profiling:
-        # "metadata_store" (timed inside TriagePrefetcher.observe) is a
-        # sub-slice of "l2_stream"/"l2_prefetcher", not an extra share.
-        total_accesses = n_cores * (warmup_accesses_per_core + accesses_per_core)
-        prof.add("l2_stream", t_stream, calls=total_accesses)
-        if any(l1pf is not None for l1pf in l1pfs):
-            prof.add("l1_prefetcher", t_l1pf)
-        if any(pf is not None for pf in prefetchers):
-            prof.add("l2_prefetcher", t_l2pf)
 
     per_core_results = []
     for core in range(n_cores):
@@ -358,7 +347,9 @@ def simulate_multicore(
             phases=(
                 ("l2_stream", t_stream),
                 ("l1_prefetcher", t_l1pf),
-                ("l2_prefetcher", t_l2pf),
+                ("l2_prefetcher", t_l2pf, (
+                    ("metadata_store", _metadata_store_seconds(all_triages)),
+                )),
             ),
         )
         run.finish(manifest)

@@ -36,6 +36,7 @@ from repro.sim.queued.mshr import MshrFile
 from repro.sim.single_core import (
     _MetadataPartition,
     _finish_sim_span,
+    _metadata_store_seconds,
     _open_sim_span,
     _register_run_metrics,
     attach_observability,
@@ -90,7 +91,7 @@ def simulate_queued(
         run = session.begin_run(
             name or trace.name, pf.name if pf is not None else "none"
         )
-        attach_observability(run, triages, profiler=session.profiler)
+        attach_observability(run, triages)
         sim_span = _open_sim_span(
             session, run, "queued",
             name or trace.name, pf.name if pf is not None else "none",
@@ -277,6 +278,10 @@ def simulate_queued(
         _register_run_metrics(session, counters, triages)
         session.registry.counter("queued.dropped_prefetches").inc(dropped_prefetches)
         session.registry.counter("queued.mshr_full_stalls").inc(mshrs.full_stalls)
-        _finish_sim_span(session, sim_span)
+        _finish_sim_span(
+            session,
+            sim_span,
+            phases=(("metadata_store", _metadata_store_seconds(triages)),),
+        )
         run.finish(manifest)
     return result

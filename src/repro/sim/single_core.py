@@ -46,13 +46,13 @@ def attach_observability(
     run: RunObserver,
     triages: List[TriagePrefetcher],
     dram=None,
-    profiler=None,
 ) -> None:
     """Point component observability hooks at an observed run.
 
     Hooks are plain attributes defaulting to ``None``; attaching them is
     the *only* thing that makes components emit, so the disabled path
-    stays a single ``is None`` check per site.
+    stays a single ``is None`` check per site.  Under a profiling
+    session each Triage's ``profile`` starts a fresh seconds count.
     """
     for triage in triages:
         triage.events = run
@@ -60,8 +60,7 @@ def attach_observability(
         triage.store._predictor.events = run
         if triage.controller is not None:
             triage.controller.events = run
-        if profiler is not None:
-            triage.profile = profiler
+        triage.profile = 0.0 if run.session.profile else None
     if dram is not None:
         dram.epoch_log = []
 
@@ -158,14 +157,14 @@ def simulate(
 
     session = obs if obs is not None else get_session()
     run: Optional[RunObserver] = None
-    prof = None
+    profiling = False
     sim_span = None
     if session is not None:
         run = session.begin_run(
             name or trace.name, pf.name if pf is not None else "none"
         )
-        prof = session.profiler
-        attach_observability(run, triages, dram=dram, profiler=prof)
+        profiling = session.profile
+        attach_observability(run, triages, dram=dram)
         sim_span = _open_sim_span(
             session, run, "analytic",
             name or trace.name, pf.name if pf is not None else "none",
@@ -259,7 +258,6 @@ def simulate(
         prev_bytes = hierarchy.traffic.total_bytes
         accesses_in_epoch = 0
 
-    profiling = prof is not None
     t_stream = t_l1pf = t_l2pf = 0.0
     t0 = 0.0
     for access_idx, (pc, addr, is_write) in enumerate(trace):
@@ -326,14 +324,6 @@ def simulate(
         if accesses_in_epoch >= epoch_accesses:
             close_epoch()
     close_epoch()
-    if profiling:
-        # "metadata_store" (timed inside TriagePrefetcher.observe) is a
-        # sub-slice of "l2_prefetcher", not an additional share.
-        prof.add("l2_stream", t_stream, calls=len(trace))
-        if l1pf is not None:
-            prof.add("l1_prefetcher", t_l1pf)
-        if pf is not None:
-            prof.add("l2_prefetcher", t_l2pf)
 
     metadata_llc = sum(t.store.llc_accesses for t in triages) - metadata_llc_offset
     metadata_dram = pf.metadata_dram_accesses if pf is not None else 0
@@ -395,7 +385,9 @@ def simulate(
             phases=(
                 ("l2_stream", t_stream),
                 ("l1_prefetcher", t_l1pf),
-                ("l2_prefetcher", t_l2pf),
+                ("l2_prefetcher", t_l2pf, (
+                    ("metadata_store", _metadata_store_seconds(triages)),
+                )),
             ),
         )
         run.finish(manifest)
@@ -418,25 +410,37 @@ def _open_sim_span(session, run, engine, workload, prefetcher, t=None):
     return tracer.start_trace("sim.run", run.run_id, t=t, **attrs)
 
 
+def _metadata_store_seconds(triages: List[TriagePrefetcher]) -> float:
+    """Seconds the Triage instances spent in ``observe`` (0 unprofiled)."""
+    return sum(t.profile or 0.0 for t in triages)
+
+
 def _finish_sim_span(session, span, phases=(), t=None) -> None:
-    """Close a run's ``sim.run`` span, filing profiler-phase children.
+    """Close a run's ``sim.run`` span, filing its ``phase.*`` children.
 
     Phase seconds are accumulated as raw ``perf_counter`` deltas (the
     access loop is too hot for live span bookkeeping); they are recorded
     as back-to-back measured segments so a waterfall still shows where
-    the run's wall time went.  Empty phases (profiling off, component
-    absent) are skipped, keeping serial/parallel trees structurally
-    identical.
+    the run's wall time went.  A phase is ``(name, seconds)`` or
+    ``(name, seconds, sub_phases)``; sub-phases are slices of their
+    parent's time and are filed under its span.  Empty phases
+    (profiling off, component absent) are skipped, keeping
+    serial/parallel trees structurally identical.
     """
     if span is None:
         return
-    tracer = session.tracer
-    base = span.start
-    for name, seconds in phases:
+    _file_phases(session.tracer, span, phases)
+    session.tracer.finish(span, "ok", t=t)
+
+
+def _file_phases(tracer, parent, phases) -> None:
+    base = parent.start
+    for name, seconds, *sub_phases in phases:
         if seconds:
-            tracer.event(span, f"phase.{name}", base, base + seconds)
+            child = tracer.event(parent, f"phase.{name}", base, base + seconds)
+            if sub_phases:
+                _file_phases(tracer, child, sub_phases[0])
             base += seconds
-    tracer.finish(span, "ok", t=t)
 
 
 def _register_dram_metrics(session, dram) -> None:

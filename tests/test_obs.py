@@ -13,14 +13,13 @@ from repro.obs.manifest import (
     build_manifest,
     drain_run_log,
 )
-from repro.obs.profiling import PhaseTimer
 from repro.obs.registry import (
     NULL_INSTRUMENT,
     Counter,
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.report import render_report
+from repro.obs.report import phases_table, render_report
 from repro.obs.reporting.discover import load_run_dir
 from repro.obs.sampler import EpochSampler
 from repro.sim.config import MachineConfig
@@ -50,6 +49,30 @@ def small_trace(n=12_000, seed=1):
     )
     trace.metadata["seed"] = seed
     return trace
+
+
+def phase_span(name, seconds, start=0.0, span_id=None, parent_id="run"):
+    """A synthetic finished ``phase.<name>`` span record."""
+    return {
+        "trace_id": "t",
+        "span_id": span_id or f"{name}@{start}",
+        "parent_id": parent_id,
+        "name": f"phase.{name}",
+        "start": start,
+        "end": start + seconds,
+        "status": "ok",
+    }
+
+
+def table_rows(table):
+    """``{phase: [seconds, share, spans, mean, min, max]}`` of a phase table."""
+    rows = {}
+    for line in table.splitlines()[3:]:  # after title, header and rule
+        if line.startswith("total:"):
+            break
+        name, *cells = line.split()
+        rows[name] = cells
+    return rows
 
 
 def triage_cfg():
@@ -281,16 +304,50 @@ class TestManifest:
 
 class TestProfiling:
     def test_phase_accumulates(self):
-        timer = PhaseTimer()
-        with timer.phase("trace_gen"):
-            pass
-        timer.add("l2_stream", 1.5, calls=10)
-        timer.add("l2_stream", 0.5, calls=5)
-        assert timer.calls["l2_stream"] == 15
-        assert timer.seconds["l2_stream"] == pytest.approx(2.0)
-        assert timer.total_seconds >= 2.0
-        table = timer.table()
-        assert "l2_stream" in table and "trace_gen" in table
+        spans = [
+            phase_span("trace_gen", 0.25),
+            phase_span("l2_stream", 1.5, start=1.0),
+            phase_span("l2_stream", 0.5, start=3.0),
+            {"trace_id": "t", "span_id": "run", "parent_id": "",
+             "name": "sim.run", "start": 0.0, "end": 9.0, "status": "ok"},
+        ]
+        rows = table_rows(phases_table(spans))
+        assert set(rows) == {"l2_stream", "trace_gen"}  # sim.run is no phase
+        assert rows["l2_stream"][:3] == ["2.000", "88.9%", "2"]
+        assert rows["trace_gen"][:3] == ["0.250", "11.1%", "1"]
+        assert "total: 2.250s" in phases_table(spans)
+
+    def test_printed_seconds_are_span_sums(self):
+        durations = {"l2_stream": [0.1231, 0.5, 0.0001], "l1_prefetcher": [0.7]}
+        spans = [
+            phase_span(name, seconds, start=float(i))
+            for name, values in durations.items()
+            for i, seconds in enumerate(values)
+        ]
+        rows = table_rows(phases_table(spans))
+        for name in durations:
+            total = sum(
+                s["end"] - s["start"] for s in spans if s["name"] == f"phase.{name}"
+            )
+            assert rows[name][0] == f"{total:.3f}"
+
+    def test_nested_phase_is_a_slice_not_extra_time(self):
+        spans = [
+            phase_span("l2_prefetcher", 2.0, span_id="l2pf"),
+            phase_span("metadata_store", 1.0, parent_id="l2pf"),
+            phase_span("l2_stream", 2.0, start=2.0),
+        ]
+        table = phases_table(spans)
+        assert "total: 4.000s" in table
+        assert table_rows(table)["metadata_store"][:2] == ["1.000", "25.0%"]
+
+    def test_no_phase_spans(self):
+        assert "(no phase spans)" in phases_table([])
+
+    def test_torn_span_records_are_skipped(self):
+        torn = {"name": "phase.l2_stream", "start": 0.0}  # no end
+        rows = table_rows(phases_table([torn, phase_span("l2_stream", 1.0)]))
+        assert rows["l2_stream"][:3] == ["1.000", "100.0%", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +420,92 @@ class TestSimulatorIntegration:
 
     def test_profile_phase_attribution(self):
         trace = small_trace(n=6_000)
-        session = obs.ObsSession(profile=True)
+        session = obs.ObsSession(profile=True, trace=False)
+        assert session.tracer.enabled  # profiling turns tracing on
         simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
-        phases = {name for name, *_ in session.profiler.sorted_phases()}
-        assert "l2_stream" in phases
-        assert "l2_prefetcher" in phases
-        assert "metadata_store" in phases
+        rows = table_rows(phases_table(session.tracer.records()))
+        assert {"l2_stream", "l2_prefetcher", "metadata_store"} <= set(rows)
+        drain_run_log()
+
+    @pytest.mark.parametrize("engine", ["single", "multi", "queued"])
+    def test_profiled_run_span_tree(self, engine):
+        from repro.sim.multi_core import simulate_multicore
+        from repro.sim.queued import simulate_queued
+
+        trace = small_trace(n=6_000)
+        session = obs.ObsSession(profile=True)
+        if engine == "single":
+            simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
+        elif engine == "multi":
+            simulate_multicore(
+                [trace, small_trace(n=6_000, seed=2)], triage_cfg,
+                machine=MachineConfig.scaled(16, n_cores=2),
+                accesses_per_core=3_000, obs=session,
+            )
+        else:
+            simulate_queued(trace, triage_cfg(), machine=MACHINE, obs=session)
+        records = session.tracer.records()
+        by_id = {r["span_id"]: r for r in records}
+        (run,) = [r for r in records if r["name"] == "sim.run"]
+        tree = sorted(
+            (by_id[r["parent_id"]]["name"], r["name"])
+            for r in records if r is not run
+        )
+        if engine == "queued":
+            # The queued engine times only the metadata store.
+            assert tree == [("sim.run", "phase.metadata_store")]
+        else:
+            assert tree == [
+                ("phase.l2_prefetcher", "phase.metadata_store"),
+                ("sim.run", "phase.l1_prefetcher"),
+                ("sim.run", "phase.l2_prefetcher"),
+                ("sim.run", "phase.l2_stream"),
+            ]
+        seconds = {r["name"]: r["end"] - r["start"] for r in records}
+        assert seconds["phase.metadata_store"] > 0
+        if engine != "queued":
+            assert seconds["phase.metadata_store"] <= seconds["phase.l2_prefetcher"]
+        drain_run_log()
+
+    def test_unprofiled_run_files_no_phase_spans(self):
+        session = obs.ObsSession(trace=True)
+        simulate(small_trace(n=6_000), triage_cfg(), machine=MACHINE, obs=session)
+        assert [r["name"] for r in session.tracer.records()] == ["sim.run"]
+        drain_run_log()
+
+    def test_report_renders_phase_table_from_spans(self, tmp_path):
+        session = obs.ObsSession(profile=True, out_dir=tmp_path)
+        simulate(small_trace(n=6_000), triage_cfg(), machine=MACHINE, obs=session)
+        session.flush()
+        assert not (tmp_path / "profile.txt").exists()
+        expected = phases_table(session.tracer.records())
+        assert expected in render_report(tmp_path)
+        drain_run_log()
+
+    def test_profile_cli_prints_every_phase(self, monkeypatch, capsys):
+        from repro.__main__ import main
+        from repro.experiments import common
+
+        sessions = []
+        enable = obs.enable
+
+        def recording_enable(**kwargs):
+            sessions.append(enable(**kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(obs, "enable", recording_enable)
+        common.clear_caches()  # so trace_gen runs
+        assert main(["profile", "fig19", "--quick"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("== Wall-time by phase =="):].rstrip("\n")
+        assert set(table_rows(table)) == {
+            "trace_gen", "l2_stream", "l1_prefetcher", "l2_prefetcher",
+            "metadata_store",
+        }
+        # Every number printed comes from the session's span records.
+        (session,) = sessions
+        assert table == phases_table(session.tracer.records())
+        common.clear_caches()
         drain_run_log()
 
 
@@ -384,7 +521,7 @@ class TestEventCapacityConfig:
 
     def test_enable_capacity_kwarg(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_EVENTS", "16")
-        session = obs.enable(capacity=4)  # explicit beats the environment
+        session = obs.enable(event_capacity=4)  # explicit beats the environment
         try:
             assert session.events.capacity == 4
         finally:
@@ -392,10 +529,6 @@ class TestEventCapacityConfig:
 
     def test_event_capacity_kwarg_still_works(self):
         assert obs.ObsSession(event_capacity=7).events.capacity == 7
-
-    def test_both_capacity_spellings_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            obs.ObsSession(capacity=4, event_capacity=8)
 
     def test_invalid_env_warns_once_and_falls_back(self, monkeypatch, capsys):
         from repro import config
@@ -472,37 +605,41 @@ class TestReportRobustness:
 
 
 # ---------------------------------------------------------------------------
-# PhaseTimer spread statistics
+# phase table spread statistics
 # ---------------------------------------------------------------------------
 
 
 class TestPhaseSpread:
     def test_mean_min_max_tracked(self):
-        timer = PhaseTimer()
-        timer.add("l2", 1.0)
-        timer.add("l2", 3.0)
-        timer.add("dram", 2.0)
-        name, secs, calls, mean, lo, hi = timer.sorted_phases()[0]
-        assert (name, secs, calls) == ("l2", 4.0, 2)
-        assert mean == pytest.approx(2.0)
-        assert (lo, hi) == (1.0, 3.0)
+        spans = [
+            phase_span("l2", 1.0),
+            phase_span("l2", 3.0, start=1.0),
+            phase_span("dram", 2.0, start=4.0),
+        ]
+        table = phases_table(spans)
+        assert table.splitlines()[3].split()[0] == "l2"  # most expensive first
+        assert table_rows(table)["l2"] == [
+            "4.000", "66.7%", "2", "2.000000", "1.000000", "3.000000",
+        ]
 
-    def test_batched_add_uses_per_call_average(self):
-        timer = PhaseTimer()
-        timer.add("x", 10.0, calls=4)
-        _, _, calls, mean, lo, hi = timer.sorted_phases()[0]
-        assert calls == 4
-        assert mean == lo == hi == pytest.approx(2.5)
+    def test_single_span_is_its_own_mean_min_max(self):
+        _, _, count, mean, lo, hi = table_rows(
+            phases_table([phase_span("x", 2.5)])
+        )["x"]
+        assert count == "1"
+        assert mean == lo == hi == "2.500000"
 
     def test_sort_is_stable_on_ties(self):
-        timer = PhaseTimer()
-        timer.add("zeta", 1.0)
-        timer.add("alpha", 1.0)
-        assert [p[0] for p in timer.sorted_phases()] == ["alpha", "zeta"]
+        table = phases_table([phase_span("zeta", 1.0), phase_span("alpha", 1.0)])
+        assert list(table_rows(table)) == ["alpha", "zeta"]
 
     def test_table_shows_spread_columns(self):
-        timer = PhaseTimer()
-        timer.add("l2", 1.0)
-        table = timer.table()
-        for column in ("mean", "min", "max", "share", "calls"):
-            assert column in table
+        header = phases_table([phase_span("l2", 1.0)]).splitlines()[1]
+        assert header.split() == [
+            "phase", "seconds", "share", "spans", "mean", "min", "max",
+        ]
+
+    def test_evicted_records_are_reported(self):
+        table = phases_table([phase_span("l2", 1.0)], evicted=3)
+        assert "3 older span records were evicted" in table
+        assert "evicted" not in phases_table([phase_span("l2", 1.0)])
