@@ -55,8 +55,8 @@ Subcommands:
 * ``python -m repro compare BENCH_fig05.json``
                                            -- diff the last two trajectory
                                               records (or two files); exits
-                                              non-zero past --kpi-tol /
-                                              --time-tol
+                                              non-zero when a KPI or work
+                                              count moved
 """
 
 from __future__ import annotations
@@ -352,14 +352,6 @@ def main(argv=None) -> int:
         "the baseline's last record)",
     )
     compare_parser.add_argument(
-        "--kpi-tol", type=float, metavar="FRAC", default=0.05,
-        help="relative KPI tolerance, either direction (default: 0.05)",
-    )
-    compare_parser.add_argument(
-        "--time-tol", type=float, metavar="FRAC", default=0.5,
-        help="relative wall-time slowdown tolerance (default: 0.5)",
-    )
-    compare_parser.add_argument(
         "--json", action="store_true",
         help="print the comparison as JSON instead of a table",
     )
@@ -377,14 +369,6 @@ def main(argv=None) -> int:
     dashboard_parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="HTML file to write (default: dashboard.html under the root)",
-    )
-    dashboard_parser.add_argument(
-        "--kpi-tol", type=float, metavar="FRAC", default=0.05,
-        help="relative KPI tolerance for newest-vs-previous (default: 0.05)",
-    )
-    dashboard_parser.add_argument(
-        "--time-tol", type=float, metavar="FRAC", default=0.5,
-        help="relative wall-time slowdown tolerance (default: 0.5)",
     )
     dashboard_parser.add_argument(
         "--json", action="store_true",
@@ -589,12 +573,7 @@ def _dashboard_command(args) -> int:
     from repro.obs.reporting import generate_dashboard
 
     try:
-        data = generate_dashboard(
-            args.root,
-            out=args.out,
-            kpi_tol=args.kpi_tol,
-            time_tol=args.time_tol,
-        )
+        data = generate_dashboard(args.root, out=args.out)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -863,7 +842,6 @@ def _bench_command(args) -> int:
         print(json.dumps(record, indent=1, sort_keys=True))
     else:
         kpis = record["kpis"]
-        cell = record["cell_latency_s"]
         print(f"== Bench: {record['experiment']} ==")
         print(
             f"wall {record['wall_time_mean_s']:.3f}s mean "
@@ -872,11 +850,6 @@ def _bench_command(args) -> int:
             f"{record['throughput_accesses_per_s']:,.0f} accesses/s, "
             f"peak RSS {record['peak_rss_kb']} KB"
         )
-        if cell["count"]:
-            print(
-                f"cells: {cell['count']} timed, "
-                f"p50 {cell['p50']:.3f}s, p95 {cell['p95']:.3f}s"
-            )
         cache_counts = record["cache"]
         if cache_counts["enabled"]:
             print(
@@ -928,9 +901,7 @@ def _compare_command(args) -> int:
                 )
                 return 2
             baseline, candidate = base_records[-1], cand_records[-1]
-        comparison = bench.compare_records(
-            baseline, candidate, kpi_tol=args.kpi_tol, time_tol=args.time_tol
-        )
+        comparison = bench.compare_records(baseline, candidate)
     except bench.BenchSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,20 +13,20 @@ run*.  This module is that record:
   metrics straight from a :class:`~repro.sim.stats.SimulationResult`.
 * **Timed runs** -- :func:`bench_experiment` runs one experiment with
   warmup + N timed repeats (process memos cleared between repeats, so
-  each repeat does full work), recording wall times, demand-access
-  throughput, peak RSS, result-cache hit/miss deltas and per-cell
-  latency p50/p95 harvested from the ``parallel.cell_done`` trace
-  events, all stamped with the machine fingerprint
-  (:func:`repro.obs.manifest.machine_fingerprint`).
+  each repeat does full work), recording wall times, simulated-access
+  throughput, peak RSS, result-cache hit/miss deltas and the
+  simulator's deterministic work counts, all stamped with the machine
+  fingerprint (:func:`repro.obs.manifest.machine_fingerprint`).
 * **Trajectory** -- :func:`append_record` appends one schema-versioned
   record to ``BENCH_<experiment>.json`` at the repo root (append-only:
   existing records are never rewritten), giving every later PR a
   baseline to diff against.
-* **Compare** -- :func:`compare_records` diffs two records' KPIs and
-  wall time against relative tolerances; ``python -m repro compare``
-  exits non-zero on a thresholded regression, which is the CI perf gate.
+* **Compare** -- :func:`compare_records` gates two records' KPIs and
+  work counts at one relative tolerance, :data:`REL_TOL`;
+  ``python -m repro compare`` exits non-zero on any move past it, which
+  is the CI trajectory gate.
 
-See ``docs/benchmarking.md`` for the schema and tolerance semantics.
+See ``docs/benchmarking.md`` for the schema and compare semantics.
 """
 
 from __future__ import annotations
@@ -37,11 +37,30 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.manifest import drain_run_log, machine_fingerprint
-from repro.obs.percentile import nearest_rank
+from repro.obs.manifest import machine_fingerprint
 
 #: Trajectory record format version, bumped on breaking schema changes.
 SCHEMA_VERSION = 1
+
+#: Relative slack for every gated KPI and work count.  The simulator is
+#: deterministic, so this is only the goldens' cross-platform libm slack
+#: (records written under one CPython are checked under another).
+REL_TOL = 1e-9
+
+#: Registry counters (kept by the engines' ``_register_run_metrics``)
+#: whose deltas over the final timed repeat form a record's ``work``.
+WORK_COUNTERS = (
+    "sim.accesses",
+    "sim.dram_accesses",
+    "sim.prefetches_issued",
+    "sim.prefetches_useful",
+    "triage.meta_store.lookups",
+    "triage.meta_store.hits",
+    "triage.meta_store.inserts",
+    "triage.meta_store.evictions",
+    "triage.partition.decisions",
+    "triage.partition.changes",
+)
 
 #: Required record fields and the types a valid record carries.
 _RECORD_FIELDS: Dict[str, tuple] = {
@@ -59,7 +78,6 @@ _RECORD_FIELDS: Dict[str, tuple] = {
     "throughput_accesses_per_s": (int, float),
     "peak_rss_kb": (int,),
     "cache": (dict,),
-    "cell_latency_s": (dict,),
     "fingerprint": (dict,),
 }
 
@@ -130,13 +148,6 @@ def _peak_rss_kb() -> int:
     return int(max(own, kids))
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (deterministic)."""
-    if not sorted_values:
-        return 0.0
-    return float(nearest_rank(sorted_values, q))
-
-
 def _cache_counts() -> Tuple[bool, int, int]:
     from repro import cache
 
@@ -144,6 +155,15 @@ def _cache_counts() -> Tuple[bool, int, int]:
     if store is None:
         return False, 0, 0
     return True, store.hits, store.misses
+
+
+def _work_counts(registry) -> Dict[str, int]:
+    """Current value of every :data:`WORK_COUNTERS` entry (0 if unset)."""
+    counts = {}
+    for name in WORK_COUNTERS:
+        metric = registry.get(name)
+        counts[name] = int(metric.value) if metric is not None else 0
+    return counts
 
 
 def bench_experiment(
@@ -160,7 +180,10 @@ def bench_experiment(
     the experiment's full work.  A configured disk cache
     (``REPRO_CACHE_DIR``) still serves -- the record's cache hit/miss
     delta says how much, so a warm-cache bench is distinguishable from a
-    cold one.  KPIs are extracted from the final repeat's table.
+    cold one.  KPIs are extracted from the final repeat's table, and the
+    ``work`` counts are the :data:`WORK_COUNTERS` deltas over that
+    repeat.  A cache-served cell skips the simulator, so ``work`` is
+    written only when the timed repeats had no disk-cache hits.
     """
     from repro import obs
     from repro.experiments import common
@@ -182,38 +205,26 @@ def bench_experiment(
             common.clear_caches()
             module.run(quick=quick)
 
-        drain_run_log()
         enabled, hits0, misses0 = _cache_counts()
+        first = _work_counts(session.registry)
 
         wall_times: List[float] = []
-        latencies: List[float] = []
-        accesses_total = 0
         table = None
-        seq_marker = session.events.emitted
         for _ in range(repeats):
             common.clear_caches()
+            before = _work_counts(session.registry)
             start = time.perf_counter()
             table = module.run(quick=quick)
             wall_times.append(time.perf_counter() - start)
-            for manifest in drain_run_log():
-                accesses_total += int(manifest.trace_length or 0)
-            # Harvest this repeat's per-cell latencies immediately: the
-            # next repeat's merged worker events would otherwise age
-            # them out of the bounded event ring.
-            latencies.extend(
-                float(event.fields.get("seconds", 0.0))
-                for event in session.events.events("parallel.cell_done")
-                if event.seq >= seq_marker
-            )
-            seq_marker = session.events.emitted
 
         _, hits1, misses1 = _cache_counts()
-        latencies.sort()
+        last = _work_counts(session.registry)
     finally:
         if ephemeral:
             obs.disable()
 
     timed_total = sum(wall_times)
+    accesses_total = last["sim.accesses"] - first["sim.accesses"]
     record: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "experiment": name,
@@ -235,13 +246,10 @@ def bench_experiment(
             "hits": hits1 - hits0,
             "misses": misses1 - misses0,
         },
-        "cell_latency_s": {
-            "count": len(latencies),
-            "p50": round(_percentile(latencies, 0.50), 6),
-            "p95": round(_percentile(latencies, 0.95), 6),
-        },
         "fingerprint": machine_fingerprint(),
     }
+    if hits1 == hits0:
+        record["work"] = {name: last[name] - before[name] for name in last}
     validate_record(record)
     return record
 
@@ -329,6 +337,14 @@ def validate_record(record: Dict[str, object]) -> None:
     for kpi, value in record["kpis"].items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise BenchSchemaError(f"KPI {kpi!r} is not numeric: {value!r}")
+    # ``work`` is optional: records written before it existed, and
+    # records whose timed repeats hit the disk cache, carry none.
+    work = record.get("work", {})
+    if not isinstance(work, dict):
+        raise BenchSchemaError(f"field 'work' is {type(work).__name__}, want dict")
+    for counter, value in work.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BenchSchemaError(f"work count {counter!r} is not an int: {value!r}")
 
 
 def load_trajectory(path) -> List[Dict[str, object]]:
@@ -400,92 +416,68 @@ def _rel_delta(base: float, cand: float) -> float:
     return (cand - base) / abs(base)
 
 
-def compare_records(
-    baseline: Dict[str, object],
-    candidate: Dict[str, object],
-    kpi_tol: float = 0.05,
-    time_tol: float = 0.5,
-) -> Comparison:
-    """Diff two records: KPIs against ``kpi_tol``, time against ``time_tol``.
+def _gate(
+    comparison: Comparison,
+    what: str,
+    prefix: str,
+    base_values: Dict[str, float],
+    cand_values: Dict[str, float],
+) -> None:
+    """Append one row per name; flag any move past :data:`REL_TOL`."""
+    for name in sorted(set(base_values) | set(cand_values)):
+        metric = prefix + name
+        if name not in cand_values:
+            comparison.rows.append([metric, base_values[name], None, None, "REMOVED"])
+            comparison.regressions.append(
+                f"{what} {name!r} disappeared from the candidate (schema drift)"
+            )
+            continue
+        if name not in base_values:
+            comparison.rows.append([metric, None, cand_values[name], None, "new"])
+            comparison.notes.append(f"{what} {name!r} is new in the candidate")
+            continue
+        base, cand = base_values[name], cand_values[name]
+        delta = _rel_delta(float(base), float(cand))
+        status = "ok"
+        if abs(delta) > REL_TOL:
+            status = "REGRESSED"
+            comparison.regressions.append(
+                f"{what} {name!r} moved {delta:+.3g} relative "
+                f"(tolerance {REL_TOL:g}): {base!r} -> {cand!r}"
+            )
+        comparison.rows.append([metric, base, cand, 100.0 * delta, status])
 
-    Both tolerances are *relative*: a KPI regresses when it moved by
-    more than ``kpi_tol`` of the baseline value in either direction
-    (both directions, because an unexplained improvement is as much a
-    fidelity question as a loss); wall time regresses only when the
-    candidate is *slower* by more than ``time_tol``.  A KPI present in
-    the baseline but missing from the candidate is schema drift and
-    counts as a regression; a new KPI is noted but passes.  Wall-time
-    comparison is skipped (with a note) when the two records ran
-    different quick modes or on different machine fingerprints.
+
+def compare_records(
+    baseline: Dict[str, object], candidate: Dict[str, object]
+) -> Comparison:
+    """Gate two records' KPIs and work counts at :data:`REL_TOL`.
+
+    Every KPI and every ``work`` count regresses when it moved by more
+    than :data:`REL_TOL` of the baseline value in either direction (an
+    unexplained improvement is as much a fidelity question as a loss).
+    A name present in the baseline but missing from the candidate is
+    schema drift and counts as a regression; a new name is noted but
+    passes.  When either record lacks ``work`` the counts are skipped
+    with a note.  Records of different experiments or quick modes can
+    never match, so they raise :class:`BenchSchemaError`.
     """
     validate_record(baseline)
     validate_record(candidate)
-    if baseline["experiment"] != candidate["experiment"]:
-        raise BenchSchemaError(
-            f"cannot compare {baseline['experiment']!r} with "
-            f"{candidate['experiment']!r}"
-        )
+    for key in ("experiment", "quick"):
+        if baseline[key] != candidate[key]:
+            raise BenchSchemaError(
+                f"cannot compare {key} {baseline[key]!r} with {candidate[key]!r}"
+            )
     comparison = Comparison(experiment=str(baseline["experiment"]))
-    base_kpis: Dict[str, float] = dict(baseline["kpis"])
-    cand_kpis: Dict[str, float] = dict(candidate["kpis"])
-
-    for kpi in sorted(set(base_kpis) | set(cand_kpis)):
-        if kpi not in cand_kpis:
-            comparison.rows.append([kpi, base_kpis[kpi], None, None, "REMOVED"])
-            comparison.regressions.append(
-                f"KPI {kpi!r} disappeared from the candidate (schema drift)"
-            )
-            continue
-        if kpi not in base_kpis:
-            comparison.rows.append([kpi, None, cand_kpis[kpi], None, "new"])
-            comparison.notes.append(f"KPI {kpi!r} is new in the candidate")
-            continue
-        base, cand = float(base_kpis[kpi]), float(cand_kpis[kpi])
-        delta = _rel_delta(base, cand)
-        status = "ok"
-        if abs(delta) > kpi_tol:
-            status = "REGRESSED"
-            comparison.regressions.append(
-                f"KPI {kpi!r} moved {delta:+.1%} (tolerance ±{kpi_tol:.1%}): "
-                f"{base:.6g} -> {cand:.6g}"
-            )
-        comparison.rows.append([kpi, base, cand, 100.0 * delta, status])
-
-    comparable = True
-    if baseline["quick"] != candidate["quick"]:
-        comparable = False
+    _gate(comparison, "KPI", "", baseline["kpis"], candidate["kpis"])
+    if "work" in baseline and "work" in candidate:
+        _gate(comparison, "work count", "work.", baseline["work"], candidate["work"])
+    else:
         comparison.notes.append(
-            "quick modes differ; wall-time comparison skipped"
-        )
-    if baseline["fingerprint"] != candidate["fingerprint"]:
-        comparable = False
-        comparison.notes.append(
-            "machine fingerprints differ; wall-time comparison skipped"
-        )
-    base_t = float(baseline["wall_time_mean_s"])
-    cand_t = float(candidate["wall_time_mean_s"])
-    if comparable and base_t > 0:
-        delta = _rel_delta(base_t, cand_t)
-        status = "ok"
-        if delta > time_tol:
-            status = "REGRESSED"
-            comparison.regressions.append(
-                f"wall time regressed {delta:+.1%} (tolerance +{time_tol:.0%}): "
-                f"{base_t:.3f}s -> {cand_t:.3f}s"
-            )
-        comparison.rows.append(
-            ["wall_time_mean_s", base_t, cand_t, 100.0 * delta, status]
-        )
-        tput_b = float(baseline["throughput_accesses_per_s"])
-        tput_c = float(candidate["throughput_accesses_per_s"])
-        comparison.rows.append(
-            [
-                "throughput_accesses_per_s",
-                tput_b,
-                tput_c,
-                100.0 * _rel_delta(tput_b, tput_c) if tput_b else 0.0,
-                "info",
-            ]
+            "work counts not compared: "
+            + ("the baseline" if "work" not in baseline else "the candidate")
+            + " record has none"
         )
     return comparison
 

@@ -5,8 +5,9 @@ bench records (:mod:`repro.obs.bench`).  The dashboard renders, per
 experiment: the KPI trajectory across records (normalized to the first
 record so different KPI scales share one chart), the wall-time
 trajectory, and a regression analysis of the newest record against its
-predecessor using the same relative tolerances as ``repro compare`` --
-regressed KPIs are highlighted in the charts and tables.
+predecessor using the same gate as ``repro compare`` (every KPI and
+work count at :data:`repro.obs.bench.REL_TOL`) -- regressed KPIs are
+highlighted in the charts and tables.
 
 ``python -m repro dashboard [root]`` renders every discovered
 trajectory; :func:`dashboard_data` returns the same analysis as a plain
@@ -38,11 +39,7 @@ def _latest_summary(record: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def analyze_trajectory(
-    trajectory: TrajectoryFile,
-    kpi_tol: float = 0.05,
-    time_tol: float = 0.5,
-) -> Dict[str, object]:
+def analyze_trajectory(trajectory: TrajectoryFile) -> Dict[str, object]:
     """One experiment's dashboard entry: trajectory + newest-vs-previous."""
     entry: Dict[str, object] = {
         "experiment": trajectory.experiment,
@@ -61,10 +58,7 @@ def analyze_trajectory(
         return entry
     try:
         comparison = bench.compare_records(
-            trajectory.records[-2],
-            trajectory.records[-1],
-            kpi_tol=kpi_tol,
-            time_tol=time_tol,
+            trajectory.records[-2], trajectory.records[-1]
         )
     except bench.BenchSchemaError as exc:
         entry["problems"].append(f"{trajectory.path}: compare failed: {exc}")
@@ -72,28 +66,20 @@ def analyze_trajectory(
         return entry
     entry["comparison"] = comparison.to_dict()
     entry["regressed_kpis"] = [
-        row[0]
-        for row in comparison.rows
-        if row[-1] in ("REGRESSED", "REMOVED") and row[0] != "wall_time_mean_s"
+        row[0] for row in comparison.rows if row[-1] in ("REGRESSED", "REMOVED")
     ]
     entry["ok"] = comparison.ok
     return entry
 
 
-def dashboard_data(
-    trajectories: Sequence[TrajectoryFile],
-    kpi_tol: float = 0.05,
-    time_tol: float = 0.5,
-) -> Dict[str, object]:
+def dashboard_data(trajectories: Sequence[TrajectoryFile]) -> Dict[str, object]:
     """The full dashboard as a machine-readable dict."""
     experiments = [
-        analyze_trajectory(t, kpi_tol=kpi_tol, time_tol=time_tol)
+        analyze_trajectory(t)
         for t in sorted(trajectories, key=lambda t: t.experiment)
     ]
     return {
         "schema": SCHEMA_VERSION,
-        "kpi_tol": kpi_tol,
-        "time_tol": time_tol,
         "generated_unix": time.time(),
         "experiments": experiments,
         "ok": all(e["ok"] for e in experiments),
@@ -195,8 +181,8 @@ def render_dashboard_html(data: Dict[str, object], trajectories: Sequence[Trajec
     """The dashboard document for :func:`dashboard_data` output."""
     by_name = {t.experiment: t for t in trajectories}
     chunks: List[str] = [
-        f'<p class="meta">tolerances: KPI ±{data["kpi_tol"]:.1%}, '
-        f'wall-time +{data["time_tol"]:.0%} &middot; '
+        f'<p class="meta">KPIs and work counts gated at relative '
+        f'{bench.REL_TOL:g} &middot; '
         f'{len(data["experiments"])} experiment(s) &middot; overall: '
         + (
             '<span class="badge-ok">ok</span>'
@@ -233,12 +219,7 @@ def render_dashboard_html(data: Dict[str, object], trajectories: Sequence[Trajec
     return page.html_page("Benchmark trajectory dashboard", "\n".join(chunks))
 
 
-def generate_dashboard(
-    root,
-    out: Optional[object] = None,
-    kpi_tol: float = 0.05,
-    time_tol: float = 0.5,
-) -> Dict[str, object]:
+def generate_dashboard(root, out: Optional[object] = None) -> Dict[str, object]:
     """Discover trajectories under ``root``, render HTML, return the data.
 
     ``root`` may be a directory (recursively searched for
@@ -253,7 +234,7 @@ def generate_dashboard(
         raise FileNotFoundError(
             f"no BENCH_*.json trajectories discoverable under {root}"
         )
-    data = dashboard_data(tree.trajectories, kpi_tol=kpi_tol, time_tol=time_tol)
+    data = dashboard_data(tree.trajectories)
     html = render_dashboard_html(data, tree.trajectories)
     if out is None:
         out = (root if root.is_dir() else root.parent) / "dashboard.html"

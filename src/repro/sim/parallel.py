@@ -374,6 +374,8 @@ def _execute(payload: Cell) -> Dict[str, object]:
             "local": False,
             "seconds": time.perf_counter() - start,
         }
+    store = cache.get_cache()
+    lookups = (store.hits, store.misses) if store is not None else (0, 0)
     session = obs_mod.enable()
     try:
         start = time.perf_counter()
@@ -381,6 +383,11 @@ def _execute(payload: Cell) -> Dict[str, object]:
             result = _run_task(payload)
         seconds = time.perf_counter() - start
         dump = {
+            # This cell's disk-cache hits/misses, which the parent's
+            # store counts as its own (a worker's store is a copy).
+            "cache": [store.hits - lookups[0], store.misses - lookups[1]]
+            if store is not None
+            else [0, 0],
             "metrics": session.registry.dump_typed(),
             "events": [e.to_dict() for e in session.events.events()],
             "epochs": list(session.sampler.rows),
@@ -417,6 +424,11 @@ def _run_local(payload: Cell, attempt: int = 0) -> Dict[str, object]:
 
 def _merge_obs(session, dump: Dict[str, object]) -> None:
     """Fold one worker's observability dump into the parent session."""
+    store = cache.get_cache()
+    if store is not None:
+        hits, misses = dump["cache"]
+        store.hits += hits
+        store.misses += misses
     session.registry.merge_typed(dump["metrics"])
     for event in dump["events"]:
         fields = dict(event)
@@ -656,7 +668,8 @@ def run_cells(
         # Per-cell latencies (worker wall time, excluding queueing and
         # transport), emitted *after* the worker-event merges above so a
         # large grid's merged event flood cannot evict them from the
-        # ring before repro.obs.bench harvests its p50/p95 columns.
+        # ring before a reader (bench/suite.py's worker utilization)
+        # collects them.
         for position, index in enumerate(todo):
             seconds = outputs[position].get("seconds")
             if seconds is None:

@@ -2,11 +2,13 @@
 
 Covers KPI extraction (per-figure and the generic fallback), the timed
 bench harness, trajectory append/load/validate round trips, record
-comparison semantics (tolerances, schema drift, incomparable machines),
-and the ``bench``/``compare`` CLI subcommands with their exit codes.
+comparison semantics (the one relative tolerance, work counts, schema
+drift, incomparable records), and the ``bench``/``compare`` CLI
+subcommands with their exit codes.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.sim.single_core import simulate
 from repro.workloads.irregular import chain_trace
 
 MACHINE = MachineConfig.scaled(16)
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -76,7 +79,7 @@ def _record(**overrides):
         "throughput_accesses_per_s": 952.4,
         "peak_rss_kb": 1,
         "cache": {"enabled": False, "hits": 0, "misses": 0},
-        "cell_latency_s": {"count": 0, "p50": 0.0, "p95": 0.0},
+        "work": {"sim.accesses": 1000, "triage.meta_store.lookups": 40},
         "fingerprint": machine_fingerprint(),
     }
     record.update(overrides)
@@ -229,26 +232,49 @@ class TestBenchExperiment:
         bench.bench_experiment("stub", repeats=1, warmup=0)
         assert obs.get_session() is mine  # existing session left in place
 
-    def test_cell_latencies_harvested_from_parallel_events(self, monkeypatch):
+    def test_work_counts_merged_from_parallel_workers(self, monkeypatch):
         monkeypatch.setitem(EXPERIMENTS, "grid", _GridExperiment)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial = bench.bench_experiment("grid", repeats=2, warmup=0)
         monkeypatch.setenv("REPRO_JOBS", "2")
-        record = bench.bench_experiment("grid", repeats=1, warmup=0, quick=True)
-        cell = record["cell_latency_s"]
-        assert cell["count"] == len(_GridExperiment.BENCHES)
-        assert cell["p95"] >= cell["p50"] > 0
-        assert record["accesses_total"] > 0
-        assert record["throughput_accesses_per_s"] > 0
+        fanned = bench.bench_experiment("grid", repeats=1, warmup=0)
+        assert set(serial["work"]) == set(bench.WORK_COUNTERS)
+        assert fanned["work"] == serial["work"]  # one repeat's worth each
+        assert serial["work"]["sim.accesses"] > 0
+        assert serial["accesses_total"] == 2 * serial["work"]["sim.accesses"]
+        assert fanned["throughput_accesses_per_s"] > 0
+        assert bench.compare_records(serial, fanned).ok
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_disk_cache_hits_drop_work(self, monkeypatch, tmp_path, jobs):
+        from repro import cache
+
+        monkeypatch.setitem(EXPERIMENTS, "grid", _GridExperiment)
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        cache.configure(tmp_path)
+        try:
+            # The warmup fills the disk cache, so the timed repeat is
+            # served from it -- in the workers when fanned out.
+            record = bench.bench_experiment("grid", repeats=1, warmup=1)
+        finally:
+            cache.configure(None)
+        assert record["cache"]["hits"] > 0
+        assert "work" not in record
+        bench.validate_record(record)
+        comparison = bench.compare_records(_record(experiment="grid",
+                                                   quick=False), record)
+        assert any("work counts not compared" in n for n in comparison.notes)
 
 
 class _GridExperiment:
-    """An experiment whose run() fans a small grid over run_cells."""
+    """An experiment whose run() fans a small grid out under REPRO_JOBS."""
 
-    __doc__ = "Grid stub exercising parallel cell timing."
+    __doc__ = "Grid stub exercising serial and fanned-out cells."
     BENCHES = ("mcf", "omnetpp")
 
     @staticmethod
     def run(quick=False):
-        common.warm_grid(_GridExperiment.BENCHES, ["none"], n=2_000, n_jobs=2)
+        common.warm_grid(_GridExperiment.BENCHES, ["none"], n=2_000)
         table = common.ExperimentTable(title="grid", headers=["benchmark", "ipc"])
         for name in _GridExperiment.BENCHES:
             table.add(name, common.run_single(name, "none", n=2_000).ipc)
@@ -265,26 +291,49 @@ class _GridExperiment:
 class TestCompare:
     def test_identical_records_pass(self):
         comparison = bench.compare_records(_record(), _record())
-        assert comparison.ok
-        assert "wall_time_mean_s" in [row[0] for row in comparison.rows]
-        # Older records carry an ``engine`` field; it is history, not a
-        # compare dimension, so the wall-time gate still applies.
-        comparison = bench.compare_records(_record(engine="batched"), _record())
         assert comparison.ok and not comparison.notes
-        assert "wall_time_mean_s" in [row[0] for row in comparison.rows]
+        assert "work.sim.accesses" in [row[0] for row in comparison.rows]
+        # Older records carry an ``engine`` field and ``cell_latency_s``;
+        # they are history, not compare dimensions.
+        old = _record(engine="batched", cell_latency_s={"count": 0})
+        comparison = bench.compare_records(old, _record())
+        assert comparison.ok and not comparison.notes
 
     def test_kpi_within_tolerance_passes(self):
+        # Only the cross-platform libm slack passes: 1e-12 relative.
         candidate = _record()
-        candidate["kpis"]["speedup"] *= 1.04
-        assert bench.compare_records(_record(), candidate, kpi_tol=0.05).ok
+        candidate["kpis"]["speedup"] *= 1 + 1e-12
+        assert bench.compare_records(_record(), candidate).ok
 
     def test_kpi_past_tolerance_fails_both_directions(self):
-        for factor in (1.10, 0.90):
+        for factor in (1 + 1e-6, 1 - 1e-6):
             candidate = _record()
             candidate["kpis"]["speedup"] *= factor
-            comparison = bench.compare_records(_record(), candidate, kpi_tol=0.05)
+            comparison = bench.compare_records(_record(), candidate)
             assert not comparison.ok
             assert "speedup" in comparison.regressions[0]
+
+    def test_work_count_off_by_one_fails(self):
+        for delta in (1, -1):
+            candidate = _record()
+            candidate["work"]["triage.meta_store.lookups"] += delta
+            comparison = bench.compare_records(_record(), candidate)
+            assert not comparison.ok
+            assert "triage.meta_store.lookups" in comparison.regressions[0]
+
+    def test_removed_work_count_is_schema_drift(self):
+        candidate = _record(work={"sim.accesses": 1000})
+        comparison = bench.compare_records(_record(), candidate)
+        assert not comparison.ok
+        assert any("disappeared" in r for r in comparison.regressions)
+
+    def test_missing_work_is_noted_not_failed(self):
+        old = _record()
+        del old["work"]
+        for baseline, candidate in ((old, _record()), (_record(), old)):
+            comparison = bench.compare_records(baseline, candidate)
+            assert comparison.ok
+            assert any("work counts not compared" in n for n in comparison.notes)
 
     def test_removed_kpi_is_schema_drift(self):
         candidate = _record(kpis={"speedup": 1.25})
@@ -299,28 +348,16 @@ class TestCompare:
         assert comparison.ok
         assert any("new" in n for n in comparison.notes)
 
-    def test_time_regression_fails(self):
-        candidate = _record(wall_time_mean_s=2.0)
-        comparison = bench.compare_records(_record(), candidate, time_tol=0.5)
-        assert not comparison.ok
-        assert any("wall time" in r for r in comparison.regressions)
-
-    def test_time_improvement_passes(self):
-        candidate = _record(wall_time_mean_s=0.1)
-        assert bench.compare_records(_record(), candidate, time_tol=0.5).ok
-
-    def test_different_fingerprint_skips_time_gate(self):
+    def test_wall_time_and_fingerprint_are_not_gated(self):
         fp = dict(machine_fingerprint(), cpu_count=999)
         candidate = _record(wall_time_mean_s=100.0, fingerprint=fp)
-        comparison = bench.compare_records(_record(), candidate, time_tol=0.1)
-        assert comparison.ok
-        assert any("fingerprints differ" in n for n in comparison.notes)
+        comparison = bench.compare_records(_record(), candidate)
+        assert comparison.ok and not comparison.notes
+        assert "wall_time_mean_s" not in [row[0] for row in comparison.rows]
 
-    def test_different_quick_modes_skip_time_gate(self):
-        candidate = _record(quick=False, wall_time_mean_s=100.0)
-        comparison = bench.compare_records(_record(), candidate, time_tol=0.1)
-        assert comparison.ok
-        assert any("quick modes differ" in n for n in comparison.notes)
+    def test_different_quick_modes_raise(self):
+        with pytest.raises(bench.BenchSchemaError, match="cannot compare quick"):
+            bench.compare_records(_record(), _record(quick=False))
 
     def test_different_experiments_raise(self):
         with pytest.raises(bench.BenchSchemaError, match="cannot compare"):
@@ -339,6 +376,33 @@ class TestCompare:
         assert payload["ok"] is True
         assert all("metric" in row for row in payload["rows"])
         json.dumps(payload)  # must be serializable for --json
+
+
+class TestCommittedTrajectories:
+    """Every committed ``BENCH_*.json`` still validates, compares, renders."""
+
+    def test_every_committed_record_validates_compares_and_renders(self):
+        from repro.obs.reporting.dashboard import dashboard_data
+        from repro.obs.reporting.discover import TrajectoryFile
+
+        paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        assert paths, "no committed trajectories found"
+        trajectories = []
+        for path in paths:
+            records = bench.load_trajectory(path)
+            assert len(records) >= 2, path
+            for record in records:
+                bench.validate_record(record)
+            for older, newer in zip(records, records[1:]):
+                bench.compare_records(older, newer)  # comparable: no raise
+            newest = bench.compare_records(records[-2], records[-1])
+            assert newest.ok, (path.name, newest.regressions)
+            experiment = path.stem[len("BENCH_"):]
+            trajectories.append(
+                TrajectoryFile(path=path, experiment=experiment, records=records)
+            )
+        data = dashboard_data(trajectories)
+        assert data["ok"], [e["problems"] for e in data["experiments"]]
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +461,21 @@ class TestCli:
         assert main(["compare", str(base), str(cand)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_compare_tolerance_flag_loosens_gate(self, tmp_path):
-        base = tmp_path / "base.json"
-        cand = tmp_path / "cand.json"
-        bench.append_record(base, _record())
-        perturbed = _record()
-        perturbed["kpis"]["speedup"] *= 1.5
-        bench.append_record(cand, perturbed)
-        assert main(
-            ["compare", str(base), str(cand), "--kpi-tol", "0.6"]
-        ) == 0
+    def test_compare_rejects_tolerance_flags(self, tmp_path, capsys):
+        # One gate, no knobs: neither command takes a tolerance.
+        for command in ("compare", "dashboard"):
+            for flag in ("--kpi-tol", "--time-tol"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, str(tmp_path), flag, "0.6"])
+                assert exc.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_compare_quick_vs_full_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_stub.json"
+        bench.append_record(path, _record())
+        bench.append_record(path, _record(quick=False))
+        assert main(["compare", str(path)]) == 2
+        assert "cannot compare quick" in capsys.readouterr().err
 
     def test_compare_single_record_exits_2(self, tmp_path, capsys):
         path = tmp_path / "BENCH_stub.json"

@@ -1,7 +1,8 @@
 """Golden regression tests for the figure harnesses.
 
-Small checked-in JSON summaries of Figure 5 and Figure 11 at a reduced
-test scale, asserted cell-by-cell against a fresh harness run.  The
+Small checked-in JSON summaries of figure tables (single-core Figures
+1, 5, 6 and 11, the multi-core Figure 16 mixes, and two extensions) at a
+reduced test scale, asserted cell-by-cell against a fresh harness run.  The
 simulation is deterministic, so any drift here means a code change
 *silently* altered reported results -- exactly what a performance-
 oriented PR must not do.  If a change alters results **intentionally**
@@ -29,18 +30,27 @@ from repro import cache
 from repro.experiments import common
 from repro.experiments import ext_engine_validation as ext_engines
 from repro.experiments import ext_triangel_headtohead as ext_triangel
+from repro.experiments import fig01_reuse as fig01
 from repro.experiments import fig05_irregular_speedup as fig05
+from repro.experiments import fig06_coverage_accuracy as fig06
 from repro.experiments import fig11_offchip_comparison as fig11
+from repro.experiments import fig16_multicore_mixes as fig16
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
-#: Trace length for golden runs: big enough for warmup + steady-state
-#: epochs, small enough to keep both figures under ~10 s of test time.
+#: Trace length for golden runs (per core for multi-core figures): big
+#: enough for warmup + steady-state epochs, small enough to keep each
+#: figure within a few seconds of test time.
 GOLDEN_N = 4_000
 
+#: fig01 fixes its own quick trace length (120,000 accesses), so its
+#: golden pins that length rather than GOLDEN_N.
 FIGURES = {
+    "fig01": fig01,
     "fig05": fig05,
+    "fig06": fig06,
     "fig11": fig11,
+    "fig16": fig16,
     "ext_triangel": ext_triangel,
     "ext_engines": ext_engines,
 }
@@ -54,12 +64,12 @@ ABS_TOL = 1e-12
 def compute_summary(module) -> dict:
     """One figure's table at golden scale, as JSON-friendly data."""
     common.clear_caches()
-    saved = common.N_SINGLE_QUICK
-    common.N_SINGLE_QUICK = GOLDEN_N
+    saved = common.N_SINGLE_QUICK, common.N_MULTI_QUICK
+    common.N_SINGLE_QUICK = common.N_MULTI_QUICK = GOLDEN_N
     try:
         table = module.run(quick=True)
     finally:
-        common.N_SINGLE_QUICK = saved
+        common.N_SINGLE_QUICK, common.N_MULTI_QUICK = saved
         common.clear_caches()
     return {
         "n_accesses": GOLDEN_N,

@@ -4,8 +4,8 @@ The old ``int(round(q * (n - 1)))`` picker used banker's rounding, so
 the element chosen for p50/p95 depended on list-length *parity*
 (``round(0.5) == 0`` but ``round(1.5) == 2``).  ``repro.obs.percentile``
 is the single owner of the fix; these tests pin the ceil-based
-nearest-rank definition and that every consumer (bench cell latencies,
-serve KPIs, waterfall trace pick) routes through it.
+nearest-rank definition and that every consumer (serve KPIs, waterfall
+trace pick) routes through it.
 """
 
 from __future__ import annotations
@@ -52,15 +52,6 @@ def test_nearest_rank_index_bounds():
     assert nearest_rank_index(10, 1.0) == 9
     with pytest.raises(ValueError):
         nearest_rank_index(0, 0.5)
-
-
-def test_bench_percentile_uses_nearest_rank():
-    from repro.obs.bench import _percentile
-
-    values = sorted(float(v) for v in range(1, 21))
-    assert _percentile(values, 0.95) == 19.0  # ceil(0.95*20) = 19
-    assert _percentile(values, 0.50) == 10.0
-    assert _percentile([], 0.5) == 0.0
 
 
 def test_loadgen_quantile_uses_nearest_rank():
