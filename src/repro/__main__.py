@@ -14,12 +14,13 @@ Subcommands:
                                               worker processes and keep a
                                               persistent result/trace cache
 * ``python -m repro run fig05 --jobs 8 --cache-dir results/cache \\
-      --retries 3 --cell-timeout 120 --resume``
+      --retries 3 --cell-timeout 120``
                                            -- resilient run: retry failed
-                                              cells, bound each cell's wall
-                                              clock, and resume an
-                                              interrupted grid from its
-                                              checkpoint journal
+                                              cells and bound each cell's
+                                              wall clock; re-running the
+                                              command resumes an
+                                              interrupted grid from the
+                                              cache
 * ``python -m repro report DIR``           -- render a flushed obs directory
 * ``python -m repro report html DIR``      -- self-contained HTML report
                                               (figures, KPIs, energy,
@@ -147,11 +148,6 @@ def main(argv=None) -> int:
         help="per-cell wall-clock budget for parallel runs; a cell over "
         "budget is abandoned and retried (default: none; also settable "
         "via REPRO_CELL_TIMEOUT)",
-    )
-    run_parser.add_argument(
-        "--resume", action="store_true",
-        help="skip cells already checkpointed by an interrupted run "
-        "(needs --cache-dir/REPRO_CACHE_DIR; also REPRO_RESUME=1)",
     )
     run_parser.add_argument(
         "--report", action="store_true",
@@ -477,8 +473,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_RETRIES"] = str(max(0, args.retries))
     if getattr(args, "cell_timeout", None) is not None:
         os.environ["REPRO_CELL_TIMEOUT"] = str(args.cell_timeout)
-    if getattr(args, "resume", False):
-        os.environ["REPRO_RESUME"] = "1"
 
     from repro import obs
 
@@ -508,12 +502,13 @@ def main(argv=None) -> int:
     try:
         _run_experiments(selected, args.quick)
     except KeyboardInterrupt:
-        # Graceful shutdown: completed cells are already journaled and
-        # cached (and the sweep layer flushed obs); tell the user how to
-        # pick the grid back up, then exit with the conventional code.
+        # Graceful shutdown: completed cells are already in the result
+        # cache, when one is configured (and the sweep layer flushed
+        # obs); tell the user how to pick the grid back up, then exit
+        # with the conventional code.
         print(
-            "interrupted: completed cells are checkpointed; "
-            "re-run with --resume to continue",
+            "interrupted: re-run the same command to continue "
+            "(with a --cache-dir, finished cells are served from it)",
             file=sys.stderr,
         )
         return 130

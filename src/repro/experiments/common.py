@@ -15,7 +15,6 @@ within one process.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from repro.sim.factory import (  # noqa: F401 -- re-exported for the harnesses
 )
 from repro.sim.multi_core import simulate_multicore
 from repro.sim.single_core import simulate
-from repro.sim.stats import MultiCoreResult, SimulationResult, geomean
+from repro.sim.stats import MultiCoreResult, SimulationResult
 from repro.workloads import cloudsuite, mixes, spec
 
 #: The paper's 512 KB and 1 MB metadata store candidates, scaled.
@@ -52,11 +51,6 @@ N_MULTI = 30_000
 N_MULTI_QUICK = 15_000
 
 MACHINE = MachineConfig.scaled(SCALE)
-
-
-def quick_mode_default() -> bool:
-    """Quick mode can be forced globally via REPRO_QUICK=1."""
-    return os.environ.get("REPRO_QUICK", "") not in ("", "0")
 
 
 def make_spec(name: str, degree: int = 1, scale: int = SCALE):
@@ -141,8 +135,8 @@ def run_single_cache_key(
     """The disk key a :func:`run_single` call's result lands under.
 
     Mirrors :func:`run_single`'s defaulting exactly (same signature), so
-    the resilience journal can name a cell's cached result without
-    running it.  Raises :class:`repro.cache.UncacheableSpec` for specs
+    :func:`repro.sim.parallel.run_cells` can serve a cell's cached
+    result without dispatching it.  Raises :class:`repro.cache.UncacheableSpec` for specs
     with no stable fingerprint.
     """
     n = n or N_SINGLE
@@ -246,7 +240,6 @@ def warm_grid(
     n_jobs: Optional[int] = None,
     retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
-    resume: Optional[bool] = None,
 ) -> int:
     """Precompute a (benchmark x prefetcher) grid of :func:`run_single`.
 
@@ -258,11 +251,11 @@ def warm_grid(
     lazily, so skipping here avoids doing the work twice).  Returns the
     number of cells actually computed.
 
-    ``retries``/``cell_timeout``/``resume`` feed the resilience layer
+    ``retries``/``cell_timeout`` feed the resilience layer
     (:mod:`repro.resilience`); left as ``None`` they follow
-    ``REPRO_RETRIES``/``REPRO_CELL_TIMEOUT``/``REPRO_RESUME``, which is
-    how the figure harnesses inherit the CLI's ``--retries`` /
-    ``--cell-timeout`` / ``--resume`` flags.
+    ``REPRO_RETRIES``/``REPRO_CELL_TIMEOUT``, which is how the figure
+    harnesses inherit the CLI's ``--retries`` / ``--cell-timeout``
+    flags.
     """
     from repro.sim import parallel
 
@@ -296,7 +289,6 @@ def warm_grid(
         n_jobs=n_jobs,
         retries=retries,
         cell_timeout=cell_timeout,
-        resume=resume,
     )
     for key, result in zip(keys, results):
         _RUN_CACHE[key] = result
@@ -387,13 +379,6 @@ class ExperimentTable:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-
-def geomean_speedup(
-    results: Sequence[SimulationResult], baselines: Sequence[SimulationResult]
-) -> float:
-    """Geometric-mean speedup across paired (result, baseline) runs."""
-    return geomean([r.speedup_over(b) for r, b in zip(results, baselines)])
 
 
 def pct(ratio: float) -> float:

@@ -152,8 +152,7 @@ def log_cached_manifest(result) -> None:
     """File a cache-served result's producing manifest with this process.
 
     Simulation registers manifests through the run observer; a result
-    served from the persistent cache or the resume journal skips
-    simulation entirely, so the cache-hit paths call this to keep both
+    served from the persistent cache skips simulation entirely, so the cache-hit paths call this to keep both
     the process-wide :data:`RUN_LOG` and any active obs session carrying
     the producing run's provenance.  Without it a fully cache-served
     sweep flushes an empty ``manifests.jsonl`` and its report has no

@@ -2,7 +2,7 @@
 
 Every layer of the reproduction emits structured artifacts -- run
 manifests, epoch JSONL time-series, ring-buffered trace events,
-checkpoint journals, ``BENCH_<exp>.json`` trajectories -- and this
+``BENCH_<exp>.json`` trajectories -- and this
 package is their read side:
 
 * :mod:`repro.obs.reporting.discover` -- recursive artifact discovery

@@ -4,7 +4,7 @@ A *run directory* is whatever :meth:`repro.obs.ObsSession.flush` wrote:
 ``manifests.jsonl``, ``epochs.jsonl``, ``events.jsonl``,
 ``metrics.json`` and optionally ``spans.jsonl``.  The discovery walk
 also picks up ``BENCH_*.json`` benchmark trajectories anywhere in the
-tree and checkpoint journals (``journal/*.jsonl`` under a cache root).
+tree.
 
 Everything here is tolerant by construction: a truncated JSONL record
 (a crash mid-append), a garbled manifest line or an unreadable file
@@ -99,22 +99,12 @@ class TrajectoryFile:
 
 
 @dataclass
-class JournalFile:
-    """One resilience checkpoint journal (completed-cell entries)."""
-
-    path: Path
-    entries: List[Dict[str, object]] = field(default_factory=list)
-    problems: List[str] = field(default_factory=list)
-
-
-@dataclass
 class ArtifactTree:
     """Everything discovered under one root, plus degradation notes."""
 
     root: Path
     runs: List[RunDir] = field(default_factory=list)
     trajectories: List[TrajectoryFile] = field(default_factory=list)
-    journals: List[JournalFile] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
 
     @property
@@ -132,8 +122,6 @@ class ArtifactTree:
             out.extend(run.problems)
         for trajectory in self.trajectories:
             out.extend(trajectory.problems)
-        for journal in self.journals:
-            out.extend(journal.problems)
         return out
 
 
@@ -193,15 +181,6 @@ def _load_trajectory(path: Path) -> TrajectoryFile:
     return trajectory
 
 
-def _load_journal(path: Path) -> JournalFile:
-    entries, problems = read_jsonl_tolerant(path)
-    return JournalFile(
-        path=path,
-        entries=[e for e in entries if "cell_key" in e],
-        problems=problems,
-    )
-
-
 def discover(root) -> ArtifactTree:
     """Walk ``root`` recursively and load every obs artifact found.
 
@@ -234,6 +213,4 @@ def discover(root) -> ArtifactTree:
         for name in names:
             if name.startswith("BENCH_") and name.endswith(".json"):
                 tree.trajectories.append(_load_trajectory(here / name))
-            elif here.name == "journal" and name.endswith(".jsonl"):
-                tree.journals.append(_load_journal(here / name))
     return tree

@@ -1,10 +1,9 @@
 """A dependency-free columnar frame over discovered artifact rows.
 
-The reporting pipeline normalizes every artifact kind (epoch rows,
-trace events, run manifests, bench records) into :class:`Frame` -- a
-thin list-of-dicts wrapper with the handful of operations rendering
-needs: column listing in first-seen order, equality filtering, group-by
-and numeric extraction.  ``to_pandas()`` hands the same rows to pandas
+The reporting pipeline normalizes epoch rows and trace events into
+:class:`Frame` -- a thin list-of-dicts wrapper with the handful of
+operations rendering needs: column listing in first-seen order,
+equality filtering, group-by and numeric extraction.  ``to_pandas()`` hands the same rows to pandas
 when it is installed; the container image this repo targets does not
 bake pandas in, so nothing else here may import it.
 """
@@ -95,21 +94,6 @@ class Frame:
         return pandas.DataFrame(self.rows)
 
 
-def _flatten(prefix: str, value: object, out: Dict[str, object]) -> None:
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
-    else:
-        out[prefix] = value
-
-
-def flatten_record(row: Dict[str, object]) -> Dict[str, object]:
-    """Nested dicts flattened to dotted column names (lists untouched)."""
-    out: Dict[str, object] = {}
-    _flatten("", row, out)
-    return out
-
-
 # -- normalizers over a discovered tree --------------------------------------
 
 
@@ -127,28 +111,4 @@ def events_frame(tree: ArtifactTree) -> Frame:
     for run in tree.runs:
         for event in run.events:
             rows.append({"run_dir": run.name, **event})
-    return Frame(rows)
-
-
-def manifests_frame(tree: ArtifactTree) -> Frame:
-    """Run manifests with nested config/host/extra flattened to columns."""
-    rows = []
-    for run in tree.runs:
-        for manifest in run.manifests:
-            rows.append({"run_dir": run.name, **flatten_record(manifest)})
-    return Frame(rows)
-
-
-def bench_frame(tree: ArtifactTree) -> Frame:
-    """Every bench record across trajectories, KPIs flattened to columns."""
-    rows = []
-    for trajectory in tree.trajectories:
-        for index, record in enumerate(trajectory.records):
-            rows.append(
-                {
-                    "trajectory": trajectory.path.name,
-                    "record": index,
-                    **flatten_record(record),
-                }
-            )
     return Frame(rows)

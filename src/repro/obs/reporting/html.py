@@ -339,7 +339,7 @@ def _epoch_section(epochs: Frame) -> str:
 
 
 def _resilience_section(
-    events: Frame, tree: ArtifactTree, summaries: Sequence[Dict[str, object]]
+    events: Frame, summaries: Sequence[Dict[str, object]]
 ) -> str:
     chunks = []
     resilience_events = events.where(
@@ -357,8 +357,8 @@ def _resilience_section(
         )
     else:
         chunks.append(
-            "<p class='meta'>no resilience events: no retries, timeouts, "
-            "pool respawns or resumes were needed</p>"
+            "<p class='meta'>no resilience events: no retries, timeouts "
+            "or pool respawns were needed</p>"
         )
     if summaries:
         headers = ["run_dir", "status", "cells_total", "executed", "resumed",
@@ -367,17 +367,15 @@ def _resilience_section(
         chunks.append("<h3>Sweep summaries</h3>" + page.html_table(
             headers, [[s.get(h) for h in headers] for s in summaries]
         ))
-    if tree.journals:
-        rows = [[str(j.path), len(j.entries)] for j in tree.journals]
-        chunks.append(
-            "<h3>Checkpoint journals</h3>"
-            + page.html_table(["journal", "completed cells"], rows)
-        )
     return "\n".join(chunks)
 
 
-def _cache_section(events: Frame, summaries: Sequence[Dict[str, object]]) -> str:
-    resume_skips = len(events.where(category="resilience.resume_skip"))
+def _cache_section(summaries: Sequence[Dict[str, object]]) -> str:
+    if not summaries:
+        return (
+            "<p class='meta'>no cache accounting available (no sweep.summary "
+            "events in this tree; re-run with an active obs session)</p>"
+        )
     hits = sum(int(s.get("cache_hits") or 0) for s in summaries)
     misses = sum(int(s.get("cache_misses") or 0) for s in summaries)
     total = hits + misses
@@ -385,13 +383,7 @@ def _cache_section(events: Frame, summaries: Sequence[Dict[str, object]]) -> str
         ["result-cache hits", hits],
         ["result-cache misses", misses],
         ["hit rate", (hits / total) if total else None],
-        ["cells resumed from journal", resume_skips],
     ]
-    if not summaries and not resume_skips:
-        return (
-            "<p class='meta'>no cache accounting available (no sweep.summary "
-            "events in this tree; re-run with an active obs session)</p>"
-        )
     return page.html_table(["economics", "value"], rows)
 
 
@@ -499,9 +491,9 @@ def build_report(tree: ArtifactTree, title: Optional[str] = None) -> Tuple[str, 
         page.section("Epoch time-series", _epoch_section(epochs)),
         page.section("Traces & SLO", traces_html),
         page.section(
-            "Resilience", _resilience_section(events, tree, summaries)
+            "Resilience", _resilience_section(events, summaries)
         ),
-        page.section("Cache economics", _cache_section(events, summaries)),
+        page.section("Cache economics", _cache_section(summaries)),
         page.section("Metrics", _metrics_section(tree)),
     ]
     if tree.trajectories:
@@ -553,10 +545,6 @@ def build_report(tree: ArtifactTree, title: Optional[str] = None) -> Tuple[str, 
         "fingerprints": fingerprints,
         "energy": energy_rows,
         "sweep_summaries": summaries,
-        "journals": [
-            {"path": str(j.path), "entries": len(j.entries)}
-            for j in tree.journals
-        ],
         "trajectories": [
             {"path": str(t.path), "experiment": t.experiment,
              "records": len(t.records)}

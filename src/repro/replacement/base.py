@@ -16,7 +16,7 @@ deactivate ways (LLC way partitioning) keep ``num_ways`` in sync via
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 
 class ReplacementPolicy:
@@ -64,8 +64,3 @@ class ReplacementPolicy:
         rows so :meth:`victim` never considers a deactivated way.
         """
         self.num_ways = num_ways
-
-
-def lru_stack(order: List[int]) -> List[int]:
-    """Debug helper: return a copy of an LRU recency stack."""
-    return list(order)

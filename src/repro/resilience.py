@@ -1,4 +1,4 @@
-"""Resilient execution: retries, timeouts, pool recovery, checkpoints.
+"""Resilient execution: retries, timeouts, pool recovery, shutdown.
 
 The parallel sweep engine (:mod:`repro.sim.parallel`) originally drove a
 bare ``ProcessPoolExecutor.map``: one worker death aborted the whole
@@ -13,18 +13,19 @@ the fault-tolerance layer it now runs on:
   ``BrokenProcessPool`` recovery by pool respawn (only unfinished cells
   re-run), degradation to serial in-process execution after N
   consecutive pool failures, and graceful SIGINT/SIGTERM shutdown;
-* :class:`SweepJournal` -- an append-only, crash-safe JSONL checkpoint
-  of completed cell keys (plus their cached-result keys) kept under the
-  cache root, so an interrupted grid resumes instead of restarting;
 * :func:`graceful_shutdown` -- scoped signal handling that turns
   SIGINT/SIGTERM into a clean :class:`SweepInterrupted` at the next
-  loop tick (completed work journaled, observability flushable).
+  loop tick (completed work cached, observability flushable).
+
+There is no separate checkpoint: finished cells land in the result
+cache, and :func:`repro.sim.parallel.run_cells` serves them from there
+before dispatch, so re-running an interrupted grid resumes it.
 
 Every recovery action is visible: the engine emits
 ``resilience.retry`` / ``resilience.cell_timeout`` /
-``resilience.pool_respawn`` / ``resilience.serial_fallback`` /
-``resilience.resume_skip`` trace events through whatever ``emit`` hook
-the caller provides (the obs session's event stream, in practice).
+``resilience.pool_respawn`` / ``resilience.serial_fallback`` trace
+events through whatever ``emit`` hook the caller provides (the obs
+session's event stream, in practice).
 All recovery paths are exercised deterministically by the seeded
 fault-injection framework in :mod:`repro.faults`; see
 ``docs/resilience.md`` for the fault model and a cookbook.
@@ -32,8 +33,6 @@ fault-injection framework in :mod:`repro.faults`; see
 
 from __future__ import annotations
 
-import json
-import os
 import signal
 import sys
 import threading
@@ -43,7 +42,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import config, faults
@@ -53,7 +51,6 @@ __all__ = [
     "CellTimeout",
     "RetryPolicy",
     "SweepInterrupted",
-    "SweepJournal",
     "graceful_shutdown",
     "positive_env",
     "run_resilient",
@@ -157,7 +154,7 @@ def graceful_shutdown():
     """Install SIGINT/SIGTERM latches for the duration of a sweep.
 
     Inside the block the first signal only *flags* the guard -- the
-    execution loop notices at its next tick, journals what finished and
+    execution loop notices at its next tick, keeps what finished and
     raises :class:`SweepInterrupted`.  A second signal falls through to
     the previous (default) handler, so a stuck sweep can still be
     killed.  Off the main thread (where ``signal.signal`` is illegal)
@@ -185,56 +182,6 @@ def graceful_shutdown():
         if installed:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-
-
-# -- checkpoint journal ------------------------------------------------------
-
-
-class SweepJournal:
-    """Append-only JSONL checkpoint of a grid's completed cells.
-
-    One line per completed cell: ``{"cell_key": ..., "result_key": ...,
-    "unix": ...}``.  Appends are flushed and fsynced, so a crash can
-    lose at most the line being written -- and a torn trailing line is
-    skipped on load, never raised.  The journal lives under the cache
-    root (``<root>/journal/<grid_key>.jsonl``) because resuming needs
-    the cached results anyway; cells whose results cannot be cached are
-    journaled with ``result_key: null`` and simply re-run on resume.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    @classmethod
-    def default_path(cls, cache_root, grid_key: str) -> Path:
-        return Path(cache_root) / "journal" / f"{grid_key[:32]}.jsonl"
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        """Completed entries by cell key (malformed lines are skipped)."""
-        # Imported here: the reporting package is only needed on resume.
-        from repro.obs.reporting.discover import read_jsonl_tolerant
-
-        rows, _ = read_jsonl_tolerant(self.path)
-        return {str(row["cell_key"]): row for row in rows if "cell_key" in row}
-
-    def record(self, cell_key: str, result_key: Optional[str] = None) -> None:
-        """Durably append one completed cell."""
-        entry = {
-            "cell_key": cell_key,
-            "result_key": result_key,
-            "unix": time.time(),
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def clear(self) -> None:
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
 
 
 # -- the execution engine ----------------------------------------------------
@@ -288,7 +235,7 @@ def run_resilient(
     decisions stay deterministic across retries.  ``emit`` is an
     obs-style event hook (``(category, severity, **fields)``);
     ``on_complete(index, output)`` fires as each cell finishes (in
-    completion order -- this is the journaling hook).
+    completion order).
 
     Raises :class:`CellFailed` when a cell exhausts its retry budget and
     :class:`SweepInterrupted` on SIGINT/SIGTERM (completed outputs

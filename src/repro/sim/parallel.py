@@ -12,20 +12,21 @@ in ``tests/test_parallel_determinism.py`` pin this down.
 Resilience: execution is driven by :mod:`repro.resilience` -- per-cell
 retries with backoff, optional per-cell wall-clock timeouts,
 ``BrokenProcessPool`` recovery by pool respawn (re-running only
-unfinished cells, degrading to serial after repeated pool deaths), an
-append-only checkpoint journal under the cache root that ``resume``
-reads to skip already-finished cells, and graceful SIGINT/SIGTERM
-shutdown.  Knobs: ``retries``/``cell_timeout``/``resume`` arguments,
-``REPRO_RETRIES``/``REPRO_CELL_TIMEOUT``/``REPRO_RESUME`` ambiently.
+unfinished cells, degrading to serial after repeated pool deaths) and
+graceful SIGINT/SIGTERM shutdown.  Knobs: ``retries``/``cell_timeout``
+arguments, ``REPRO_RETRIES``/``REPRO_CELL_TIMEOUT`` ambiently.
 Every recovery emits a ``resilience.*`` trace event; the seeded chaos
 harness in :mod:`repro.faults` (``REPRO_FAULTS``) exercises each path
 deterministically.  See ``docs/resilience.md``.
 
-Caching: each cell consults the process cache
-(:func:`repro.cache.get_cache`) before simulating -- generated traces
-and finished results both have disk tiers -- so a warm-cache sweep makes
-zero ``simulate()`` calls.  Workers receive the parent's cache root
-explicitly in their payload (no reliance on fork-time inheritance).
+Caching: the result cache is the sweep's only checkpoint.  Before
+dispatch, :func:`run_cells` serves every cell whose result is already on
+disk, so re-running an interrupted or finished grid dispatches only the
+missing cells and a warm-cache sweep makes zero ``simulate()`` calls.
+Dispatched cells still consult the process cache
+(:func:`repro.cache.get_cache`) for their traces, which have a disk
+tier too.  Workers receive the parent's cache root explicitly in their
+payload (no reliance on fork-time inheritance).
 The in-process trace memo is a small LRU (:data:`_TRACE_MEMO`), so long
 multi-benchmark sessions do not grow memory without bound.
 
@@ -155,11 +156,11 @@ def _parallel_safe(cell: Cell) -> bool:
 def cell_identity(cell: Cell) -> Optional[str]:
     """A stable content hash naming this cell, or ``None``.
 
-    This is the checkpoint-journal key: two invocations building the
-    same grid produce the same identities, so a resumed run recognises
-    its finished cells.  Cells carrying prefetcher instances or factory
-    callables have no stable identity (mutable state / object identity)
-    and are never journaled.
+    It seeds the cell's fault-injection token and its ``sweep.cell``
+    trace context, so both are the same in every invocation and on
+    either side of a process boundary.  Cells carrying prefetcher
+    instances or factory callables have no stable identity (mutable
+    state / object identity) and fall back to their grid position.
     """
     try:
         payload = {
@@ -238,9 +239,7 @@ class _LruMemo(OrderedDict):
 #: without limit; evicted traces are regenerated or re-read from the
 #: disk tier on the next touch.  Cleared by :func:`clear_trace_memo` /
 #: ``experiments.common.clear_caches``.
-_TRACE_MEMO = _LruMemo(
-    maxsize=int(os.environ.get("REPRO_TRACE_MEMO", "") or 8)
-)
+_TRACE_MEMO = _LruMemo(maxsize=8)
 
 
 def clear_trace_memo() -> None:
@@ -455,20 +454,12 @@ def _log_manifests(result) -> None:
 # -- the front door ----------------------------------------------------------
 
 
-def _resume_flag(resume: Optional[bool]) -> bool:
-    if resume is not None:
-        return bool(resume)
-    return os.environ.get("REPRO_RESUME", "") not in ("", "0")
-
-
 def run_cells(
     cells: Sequence[Cell],
     n_jobs: Optional[int] = None,
     cache_dir=None,
     retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
-    resume: Optional[bool] = None,
-    journal_path=None,
 ) -> List[object]:
     """Execute ``cells``, resiliently, returning results in input order.
 
@@ -482,11 +473,10 @@ def run_cells(
     ``retries`` / ``cell_timeout`` override the ambient
     ``REPRO_RETRIES`` / ``REPRO_CELL_TIMEOUT`` retry policy
     (:class:`repro.resilience.RetryPolicy`).  When a disk cache is
-    configured, every completed cell is checkpointed to an append-only
-    journal under the cache root; ``resume=True`` (or ``REPRO_RESUME=1``)
-    re-reads it so an interrupted grid skips finished cells entirely
-    (``resilience.resume_skip`` events mark each skip).  SIGINT/SIGTERM
-    interrupt gracefully: finished cells stay journaled and cached, the
+    configured, cells whose results it already holds are served from it
+    before dispatch (``sweep.summary`` counts them as ``resumed``), so
+    re-running an interrupted grid runs only its missing cells.
+    SIGINT/SIGTERM interrupt gracefully: finished cells stay cached, the
     active obs session is flushed (when it has an output directory), and
     :class:`repro.resilience.SweepInterrupted` -- a
     ``KeyboardInterrupt`` -- propagates.
@@ -537,37 +527,19 @@ def run_cells(
     cache_hits_before = store.hits if store is not None else 0
     cache_misses_before = store.misses if store is not None else 0
     n = len(cells)
-    identities = [cell_identity(cell) for cell in cells]
-    result_keys = [
-        cell_result_key(cell) if store is not None else None for cell in cells
-    ]
-
-    journal = None
-    if store is not None and any(identities):
-        if journal_path is None:
-            grid_key = cache.stable_hash(
-                [identity or f"anon:{i}" for i, identity in enumerate(identities)]
-            )
-            journal_path = resilience.SweepJournal.default_path(store.root, grid_key)
-        journal = resilience.SweepJournal(journal_path)
-
     results: List[object] = [None] * n
     prefilled = [False] * n
-    if _resume_flag(resume) and journal is not None:
-        entries = journal.load()
-        for i in range(n):
-            identity = identities[i]
-            if identity is None or identity not in entries:
-                continue
-            key = entries[identity].get("result_key") or result_keys[i]
-            hit = store.get_result(key) if key else None
-            if hit is None:
-                continue  # journaled but evicted/uncached: re-run it
-            results[i] = hit
-            prefilled[i] = True
-            log_cached_manifest(hit)
-            if emit is not None:
-                emit("resilience.resume_skip", "info", cell=i, cell_key=identity)
+    for i, cell in enumerate(cells if store is not None else ()):
+        key = cell_result_key(cell)
+        # Probe before reading, so a cold grid counts no lookups here.
+        if key is None or not store.result_path(key).exists():
+            continue
+        hit = store.get_result(key)
+        if hit is None:
+            continue  # corrupt entry: the cell re-runs and rewrites it
+        results[i] = hit
+        prefilled[i] = True
+        log_cached_manifest(hit)
 
     completed = [0]
 
@@ -603,7 +575,7 @@ def run_cells(
         return results
 
     plan = faults.get_plan()
-    tokens = [identities[i] or f"cell:{i}" for i in todo]
+    tokens = [cell_identity(cells[i]) or f"cell:{i}" for i in todo]
     tracing = session is not None and session.tracer.enabled
     if tracing:
         from repro.obs.tracing import Tracer
@@ -625,10 +597,7 @@ def run_cells(
     ]
 
     def on_complete(position: int, output: object) -> None:
-        index = todo[position]
         completed[0] += 1
-        if journal is not None and identities[index] is not None:
-            journal.record(identities[index], result_keys[index])
 
     try:
         outputs = resilience.run_resilient(
@@ -642,8 +611,8 @@ def run_cells(
             fault_tokens=tokens,
         )
     except resilience.SweepInterrupted:
-        # Finished cells are already journaled and cached; flush the obs
-        # session so partial metrics/events/manifests survive the exit.
+        # Finished cells are already cached; flush the obs session so
+        # partial metrics/events/manifests survive the exit.
         emit_summary("interrupted")
         if session is not None and session.out_dir is not None:
             try:

@@ -19,7 +19,8 @@ Cells (every baseline and every configuration run) execute through
 :mod:`repro.sim.parallel`, so ``n_jobs > 1`` fans them over a process
 pool and ``cache_dir`` (or the ambient ``REPRO_CACHE_DIR``) adds a
 persistent disk tier -- both without changing a single reported number
-relative to the serial, uncached path.
+relative to the serial, uncached path.  The cache is also the sweep's
+checkpoint: a rerun serves the cells it already holds and runs the rest.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def sweep(
     cache_dir=None,
     retries: Optional[int] = None,
     cell_timeout: Optional[float] = None,
-    resume: Optional[bool] = None,
     report: Optional[bool] = None,
 ) -> List[SweepRecord]:
     """Run every (benchmark x prefetcher) combination.
@@ -104,11 +104,10 @@ def sweep(
 
     ``retries``/``cell_timeout`` override the ambient resilience policy
     (``REPRO_RETRIES``/``REPRO_CELL_TIMEOUT``): failed or timed-out
-    cells are retried with backoff, dead worker pools are respawned, and
-    completed cells are checkpointed to a journal under the cache root.
-    ``resume=True`` (or ``REPRO_RESUME=1``) skips journaled cells whose
-    results are still cached, so an interrupted grid picks up where it
-    stopped instead of restarting.  See ``docs/resilience.md``.
+    cells are retried with backoff and dead worker pools are respawned.
+    Cells whose results the cache already holds are served from it
+    without being dispatched, so re-running an interrupted grid picks up
+    where it stopped instead of restarting.  See ``docs/resilience.md``.
 
     ``report=True`` (or ``REPRO_REPORT=1``) drops a self-contained HTML
     report (:mod:`repro.obs.reporting`) into the active obs session's
@@ -147,7 +146,6 @@ def sweep(
         cache_dir=cache_dir,
         retries=retries,
         cell_timeout=cell_timeout,
-        resume=resume,
     )
 
     records: List[SweepRecord] = []
@@ -196,17 +194,3 @@ def _drop_report() -> None:
     except Exception as exc:
         print(f"warning: sweep report generation failed: {exc}", file=sys.stderr)
 
-
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Render sweep records as CSV."""
-    import csv
-    import io
-
-    if not records:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(records[0].as_dict()))
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record.as_dict())
-    return buffer.getvalue()

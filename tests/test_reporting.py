@@ -24,7 +24,6 @@ from repro.obs.reporting import (
     read_jsonl_tolerant,
 )
 from repro.obs.reporting import figures as rfigures
-from repro.obs.reporting import frames as rframes
 from repro.obs.reporting.dashboard import analyze_trajectory, render_dashboard_html
 from repro.obs.reporting.discover import TrajectoryFile
 from repro.obs.reporting.page import self_containment_violations
@@ -34,8 +33,8 @@ from repro.sim.sweep import sweep
 @pytest.fixture(autouse=True)
 def _clean_obs(monkeypatch):
     """Isolated observability and no ambient sweep knobs."""
-    for var in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_RESUME",
-                "REPRO_REPORT", "REPRO_RETRIES", "REPRO_CELL_TIMEOUT"):
+    for var in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_REPORT",
+                "REPRO_RETRIES", "REPRO_CELL_TIMEOUT"):
         monkeypatch.delenv(var, raising=False)
     obs.disable()
     yield
@@ -116,11 +115,8 @@ def test_discover_nested_partial_and_corrupt(tmp_path):
     corrupt.mkdir()
     (corrupt / "manifests.jsonl").write_text('{"kind": "single"}\n')
     (corrupt / "metrics.json").write_text("][ not json")
-    # A bench trajectory and a checkpoint journal.
+    # A bench trajectory.
     write_trajectory(tmp_path / "BENCH_fig05.json", [make_bench_record("fig05")])
-    journal_dir = tmp_path / "cache" / "journal"
-    journal_dir.mkdir(parents=True)
-    (journal_dir / "abc.jsonl").write_text('{"cell_key": "k1"}\n')
     # Cache payload shards must be pruned, not walked.
     payload = tmp_path / "cache" / "v1" / "results" / "ab"
     payload.mkdir(parents=True)
@@ -131,7 +127,6 @@ def test_discover_nested_partial_and_corrupt(tmp_path):
     assert names == {"fig05", "partial", "corrupt"}
     assert len(tree.manifests) == 2  # payload shard's manifest not loaded
     assert len(tree.trajectories) == 1 and tree.trajectories[0].experiment == "fig05"
-    assert len(tree.journals) == 1 and tree.journals[0].entries[0]["cell_key"] == "k1"
     problems = tree.all_problems()
     assert any("partial" in p and "malformed" in p for p in problems)
     assert any("metrics.json" in p for p in problems)
@@ -179,11 +174,6 @@ def test_frame_to_pandas_is_gated():
             frame.to_pandas()
     else:
         assert len(frame.to_pandas()) == 1
-
-
-def test_flatten_record():
-    flat = rframes.flatten_record({"a": {"b": {"c": 1}}, "d": [1, 2]})
-    assert flat == {"a.b.c": 1, "d": [1, 2]}
 
 
 # -- figures ------------------------------------------------------------------
@@ -246,7 +236,7 @@ class TestSweepReportRoundTrip:
         assert manifest["schema"] == 1
         for key in ("root", "html", "generated_unix", "runs", "figures",
                     "kpis", "fingerprints", "energy", "sweep_summaries",
-                    "journals", "trajectories", "problems"):
+                    "trajectories", "problems"):
             assert key in manifest, key
         assert len(manifest["runs"]) == 1
         run = manifest["runs"][0]
@@ -336,18 +326,6 @@ def test_html_report_keeps_complete_rows_of_torn_files(torn_run, tmp_path, capsy
     assert {name: manifest["runs"][0][name] for name in complete} == complete
 
 
-def test_journal_keeps_complete_rows_of_torn_file(tmp_path):
-    from repro import resilience
-
-    rows = [{"cell_key": f"cell-{i}", "result_key": f"result-{i}", "unix": 0.0}
-            for i in range(3)]
-    path = tmp_path / "grid.jsonl"
-    write_torn_jsonl(path, rows)
-    assert resilience.SweepJournal(path).load() == {
-        row["cell_key"]: row for row in rows
-    }
-
-
 @pytest.mark.parametrize("damage", ["truncated", "non_utf8"])
 def test_dashboard_and_compare_reject_torn_bench_file(tmp_path, capsys, damage):
     text = json.dumps([make_bench_record("t"), make_bench_record("t")]).encode()
@@ -404,14 +382,13 @@ def test_sweep_report_flag_writes_report(tmp_path):
 
 
 def test_resumed_sweep_report_keeps_manifests(tmp_path, monkeypatch):
-    """A fully journal-served --resume sweep still reports its runs.
+    """A sweep served wholly from the cache still reports its runs.
 
-    Resumed cells skip simulation, so their manifests must be filed
-    with the session by the prefill path — otherwise the obs dir
-    flushes an empty manifests.jsonl and report generation fails.
+    Cells served before dispatch skip simulation, so their manifests
+    must be filed with the session by the prefill path — otherwise the
+    obs dir flushes an empty manifests.jsonl and report generation fails.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_RESUME", "1")
     obs.enable(out_dir=tmp_path / "first")
     try:
         sweep(["mcf"], {"bo": "bo"}, n_accesses=6_000, scale=4)

@@ -9,9 +9,9 @@ that faults change *wall-clock time only, never results*:
 * per-cell timeouts abandon stuck cells and re-run them;
 * ``BrokenProcessPool`` respawns re-run only unfinished cells and
   degrade to serial after repeated deaths;
-* SIGTERM mid-grid journals finished cells, and ``--resume`` skips them
-  (zero ``simulate()`` calls for journaled cells, identical tables);
-* the checkpoint journal is append-only and torn-line tolerant;
+* SIGTERM mid-grid keeps finished cells in the result cache, and a
+  plain rerun serves them without dispatch (no ``simulate()`` call for
+  a cached cell, identical tables);
 * the trace memo is a bounded LRU whose evictions never change results;
 * invalid ``REPRO_JOBS``-style env values and unpicklable-spec serial
   fallbacks warn loudly instead of silently degrading.
@@ -19,7 +19,6 @@ that faults change *wall-clock time only, never results*:
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -51,8 +50,7 @@ BENCHES = ["mcf", "omnetpp"]
 def _clean_state(monkeypatch):
     for var in (
         "REPRO_CACHE_DIR", "REPRO_JOBS", "REPRO_FAULTS", "REPRO_FAULTS_SEED",
-        "REPRO_RETRIES", "REPRO_CELL_TIMEOUT", "REPRO_RESUME",
-        "REPRO_FAULT_SLEEP",
+        "REPRO_RETRIES", "REPRO_CELL_TIMEOUT", "REPRO_FAULT_SLEEP",
     ):
         monkeypatch.delenv(var, raising=False)
     faults.reset()
@@ -193,33 +191,6 @@ class TestEngine:
         )
 
 
-# -- the checkpoint journal --------------------------------------------------
-
-
-class TestJournal:
-    def test_record_and_load_round_trip(self, tmp_path):
-        journal = resilience.SweepJournal(tmp_path / "j" / "grid.jsonl")
-        journal.record("cell-a", "result-a")
-        journal.record("cell-b", None)
-        entries = journal.load()
-        assert entries["cell-a"]["result_key"] == "result-a"
-        assert entries["cell-b"]["result_key"] is None
-
-    def test_torn_and_garbage_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "grid.jsonl"
-        journal = resilience.SweepJournal(path)
-        journal.record("cell-a", "result-a")
-        with path.open("a") as fh:
-            fh.write("not json at all\n")
-            fh.write('{"cell_key": "cell-b", "result_key": "result-b"}\n')
-            fh.write('{"cell_key": "torn-by-a-cra')  # no newline, mid-write
-        entries = journal.load()
-        assert set(entries) == {"cell-a", "cell-b"}
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert resilience.SweepJournal(tmp_path / "nope.jsonl").load() == {}
-
-
 # -- chaos: the acceptance-criteria sweep ------------------------------------
 
 
@@ -353,6 +324,8 @@ sys.exit(0)
 
 class TestKillAndResume:
     def test_sigterm_then_resume_skips_journaled_cells(self, tmp_path, monkeypatch):
+        """SIGTERM, then a plain rerun serves the finished cells from the
+        cache without dispatching them."""
         clean = _clean_serial()
         cache_dir = tmp_path / "cache"
 
@@ -370,29 +343,22 @@ class TestKillAndResume:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
 
-        def journal_lines():
-            files = list((cache_dir / "journal").glob("*.jsonl"))
-            if not files:
-                return 0
-            return sum(1 for l in files[0].read_text().splitlines() if l.strip())
+        def cached_results():
+            return len(list(cache_dir.glob("v*/results/**/*.json")))
 
         deadline = time.monotonic() + 60
-        while journal_lines() < 2 and time.monotonic() < deadline:
+        while cached_results() < 2 and time.monotonic() < deadline:
             if child.poll() is not None:
                 break
             time.sleep(0.05)
-        journaled_at_kill = journal_lines()
-        assert journaled_at_kill >= 2, "grid finished/stalled before the kill"
+        cached_at_kill = cached_results()
+        assert cached_at_kill >= 2, "grid finished/stalled before the kill"
         child.send_signal(signal.SIGTERM)
         _out, err = child.communicate(timeout=60)
         assert child.returncode == 130, err.decode()
 
-        # The journal survived the kill intact (append-only, fsynced).
-        entries = journal_lines()
-        assert entries >= journaled_at_kill
-
-        # Resume: journaled cells are served without dispatch, and no
-        # journaled cell is ever simulated again.
+        # Rerun: cached cells are served before dispatch, and no cached
+        # cell is ever simulated again.
         calls = []
         real = parallel.simulate
 
@@ -402,28 +368,33 @@ class TestKillAndResume:
 
         monkeypatch.setattr(parallel, "simulate", counting_simulate)
         session = obs.enable()
-        resumed = sweep(
-            BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=1,
-            cache_dir=cache_dir, resume=True,
+        rerun = sweep(
+            BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=1, cache_dir=cache_dir,
         )
-        _records_equal(clean, resumed)
-        skips = session.events.events("resilience.resume_skip")
-        assert len(skips) == entries
+        _records_equal(clean, rerun)
+        (summary,) = [e.fields for e in session.events.events("sweep.summary")]
+        assert summary["resumed"] >= cached_at_kill
         total_cells = len(BENCHES) * (len(GRID) + 1)
-        assert len(calls) <= total_cells - len(skips)
+        assert len(calls) <= total_cells - summary["resumed"]
 
-    def test_resume_flag_reads_environment(self, tmp_path, monkeypatch):
-        sweep(BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=1,
+    def test_warm_rerun_never_dispatches(self, tmp_path, monkeypatch):
+        clean = _clean_serial()
+        sweep(BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=2,
               cache_dir=tmp_path)
         common.clear_caches()
-        monkeypatch.setenv("REPRO_RESUME", "1")
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a warm rerun dispatched cells")
+
+        monkeypatch.setattr(resilience, "run_resilient", no_dispatch)
         session = obs.enable()
-        resumed = sweep(BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=1,
-                        cache_dir=tmp_path)
-        assert len(session.events.events("resilience.resume_skip")) == (
-            len(BENCHES) * (len(GRID) + 1)
-        )
-        assert len(resumed) == len(BENCHES) * len(GRID)
+        warm = sweep(BENCHES, GRID, n_accesses=N_ACCESSES, n_jobs=2,
+                     cache_dir=tmp_path)
+        (summary,) = [e.fields for e in session.events.events("sweep.summary")]
+        total_cells = len(BENCHES) * (len(GRID) + 1)
+        assert summary["executed"] == 0
+        assert summary["resumed"] == summary["cells_total"] == total_cells
+        _records_equal(clean, warm)
 
 
 # -- satellites: warnings, LRU memo -----------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the sweep utility."""
 
-from repro.sim.sweep import records_to_csv, sweep
+from repro.sim.sweep import sweep
 
 
 def test_sweep_produces_grid():
@@ -16,17 +16,3 @@ def test_sweep_produces_grid():
     none_records = [r for r in records if r.config == "none2"]
     for record in none_records:
         assert record.speedup == 1.0  # identical to its own baseline
-
-
-def test_sweep_csv():
-    records = sweep(
-        benchmarks=["mcf"],
-        prefetchers={"bo": "bo"},
-        n_accesses=4_000,
-        scale=16,
-    )
-    csv_text = records_to_csv(records)
-    lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("workload,config,speedup")
-    assert len(lines) == 2
-    assert records_to_csv([]) == ""
