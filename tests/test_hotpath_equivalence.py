@@ -9,8 +9,14 @@ rewrite promised not to do.
 The committed golden covers the full :class:`SimulationResult` surface
 (cycles, every counter, per-category traffic, metadata accesses and the
 dynamic-partition history) for a grid of representative configurations:
-the pure-LRU demand path, a best-offset run, and Triage with both a
-fixed and a dynamically partitioned Hawkeye metadata store.
+the pure-LRU demand path, a best-offset run, Triage with both a fixed
+and a dynamically partitioned Hawkeye metadata store, an SMS run, a
+write-heavy streaming run, and Triage over each policy-driven LLC
+(``MachineConfig.llc_policy`` other than ``"lru"``).  The SMS, write-heavy
+and LLC-policy cells were generated from the engine before the LRU
+levels moved to :class:`repro.memory.cache.LruCache`; they pin the
+policy-driven ``Cache`` LLC and the dirty/writeback bookkeeping across
+that rewrite.
 
 Regenerate (only when a change alters results *intentionally*) with::
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -37,14 +43,21 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "simresult_hotpath.j
 #: one dynamic-partition decision.
 N_ACCESSES = 12_000
 
-#: (benchmark, prefetcher) cells; all use the default LRU LLC plus (for
-#: the Triage rows) the Hawkeye-managed metadata store.
+#: (benchmark, prefetcher, LLC policy) cells.  The Triage rows also use
+#: the Hawkeye-managed metadata store.  A cell on the default LRU LLC is
+#: keyed ``bench/prefetcher``, any other as ``bench/prefetcher@policy``.
 CELLS = [
-    ("mcf", "none"),
-    ("mcf", "bo"),
-    ("mcf", "triage_1mb"),
-    ("mcf", "triage_dynamic"),
-    ("omnetpp", "triage_dynamic"),
+    ("mcf", "none", "lru"),
+    ("mcf", "bo", "lru"),
+    ("mcf", "triage_1mb", "lru"),
+    ("mcf", "triage_dynamic", "lru"),
+    ("omnetpp", "triage_dynamic", "lru"),
+    ("perlbench", "sms", "lru"),
+    ("lbm", "bo", "lru"),  # ~20% writes
+    ("mcf", "triage_dynamic", "srrip"),
+    ("mcf", "triage_dynamic", "drrip"),
+    ("mcf", "triage_dynamic", "hawkeye"),
+    ("mcf", "triage_dynamic", "random"),
 ]
 
 REL_TOL = 1e-12  # bit-identical up to float formatting in JSON
@@ -64,14 +77,21 @@ def result_fingerprint(result) -> dict:
     }
 
 
+def cell_key(bench: str, pf: str, llc_policy: str) -> str:
+    return f"{bench}/{pf}" if llc_policy == "lru" else f"{bench}/{pf}@{llc_policy}"
+
+
 def compute_grid() -> dict:
     common.clear_caches()
     try:
         return {
-            f"{bench}/{pf}": result_fingerprint(
-                common.run_single(bench, pf, n=N_ACCESSES)
+            cell_key(bench, pf, policy): result_fingerprint(
+                common.run_single(
+                    bench, pf, n=N_ACCESSES,
+                    machine=replace(common.MACHINE, llc_policy=policy),
+                )
             )
-            for bench, pf in CELLS
+            for bench, pf, policy in CELLS
         }
     finally:
         common.clear_caches()
@@ -112,6 +132,14 @@ def test_simulation_results_match_pre_optimization_golden():
     assert set(grid) == set(golden["cells"]), "cell grid changed; regenerate"
     for cell, want in golden["cells"].items():
         assert_cell_equal(grid[cell], want, cell)
+
+
+def test_golden_pins_writebacks_on_every_llc_kind():
+    """The grid must reach the dirty-eviction path on both LLC kinds."""
+    cells = json.loads(GOLDEN_PATH.read_text())["cells"]
+    for bench, pf, policy in CELLS:
+        key = cell_key(bench, pf, policy)
+        assert cells[key]["traffic"]["writeback"] > 0, key
 
 
 def regenerate() -> None:
