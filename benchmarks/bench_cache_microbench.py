@@ -1,12 +1,13 @@
 """Micro-benchmark for the cache model's hot path.
 
-Times raw :meth:`repro.memory.cache.Cache.access` / ``fill`` throughput
-in isolation from any simulation engine, exercising the three regimes the
-O(1) replacement work targets:
+Times raw :meth:`repro.memory.cache.LruCache.access` / ``fill``
+throughput -- the class behind every LRU level of the hierarchy -- in
+isolation from any simulation engine, exercising three regimes:
 
-* pure hits (the ``_PLAIN_HIT`` fast path, no allocation),
-* streaming misses on a cold cache (freelist pops, no victim search),
-* steady-state eviction (policy ``victim()`` on every fill).
+* pure hits (pop and reinsert in the set dict, shared ``_PLAIN_HIT``),
+* streaming misses on a cold cache (free-way heap pops, no victim),
+* steady-state eviction (the set dict's oldest key on every fill),
+  with periodic way repartitioning in the mixed case.
 
 Run with ``pytest benchmarks/bench_cache_microbench.py`` -- the printed
 ops/s pairs with the profile in ``docs/performance.md``.
@@ -14,15 +15,15 @@ ops/s pairs with the profile in ``docs/performance.md``.
 
 from __future__ import annotations
 
-from repro.memory.cache import Cache
+from repro.memory.cache import LruCache
 
 #: Accesses per timed round; large enough that per-round overhead is noise.
 N_OPS = 200_000
 
 
-def _make_cache() -> Cache:
+def _make_cache() -> LruCache:
     # The paper's LLC geometry: 2 MB, 16-way, 64 B lines, LRU.
-    return Cache("LLC", 2 * 1024 * 1024, 16, policy="lru")
+    return LruCache("LLC", 2 * 1024 * 1024, 16)
 
 
 def _report(benchmark, ops: int) -> None:
@@ -45,7 +46,8 @@ def test_cache_hit_path(benchmark):
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     _report(benchmark, N_OPS)
-    assert cache.hits >= N_OPS
+    assert cache.occupancy() == len(resident)
+    assert all(cache.access(line).hit for line in resident)
 
 
 def test_cache_fill_evict_path(benchmark):

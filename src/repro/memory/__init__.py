@@ -10,7 +10,7 @@ from repro.memory.address import (
     set_index,
     tag_bits,
 )
-from repro.memory.cache import Cache, CacheLine, AccessOutcome
+from repro.memory.cache import AccessOutcome, Cache, CacheLine, LruCache
 from repro.memory.dram import DramModel, TrafficCounter
 from repro.memory.hierarchy import CacheHierarchy, HierarchyEvent
 
@@ -23,6 +23,7 @@ __all__ = [
     "HierarchyEvent",
     "LINE_SHIFT",
     "LINE_SIZE",
+    "LruCache",
     "TrafficCounter",
     "line_addr",
     "line_base",

@@ -1,17 +1,25 @@
-"""A set-associative, write-back cache with way partitioning.
+"""Set-associative, write-back caches with way partitioning.
 
-This one model serves as L1D, L2 and LLC.  The LLC additionally supports
-shrinking/growing its *active* ways at run time, which is how Triage's
-way partitioning carves a metadata store out of the data array (paper
-Section 3: "we partition the last-level cache by assigning separate ways
-to data and metadata").
+Two models share one public surface.  :class:`LruCache` serves L1D, L2
+and the default LRU LLC: each set is a recency-ordered dict.
+:class:`Cache` runs any replacement policy through
+:class:`~repro.replacement.base.ReplacementPolicy` hooks; the hierarchy
+uses it for a non-LRU LLC.  Both support shrinking/growing their
+*active* ways at run time, which is how Triage's way partitioning carves
+a metadata store out of the LLC's data array (paper Section 3: "we
+partition the last-level cache by assigning separate ways to data and
+metadata").
+
+A fill, :meth:`invalidate` and :meth:`set_active_ways` hand displaced
+lines back as ``(line, dirty)`` pairs, so the caller can write dirty
+ones back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.memory.address import LINE_SIZE
 from repro.replacement.base import ReplacementPolicy
@@ -19,40 +27,211 @@ from repro.replacement.base import ReplacementPolicy
 
 @dataclass(slots=True)
 class CacheLine:
-    """One resident cache line."""
+    """One resident line of a policy-driven :class:`Cache`."""
 
     line: int  # full line address (byte address >> 6)
     dirty: bool = False
     #: None, or the prefetcher kind ("l1"/"l2") that brought the line in
     #: and has not yet seen a demand touch.
     prefetched: Optional[str] = None
-    pc: int = 0  # PC of the filling access
 
 
 @dataclass(slots=True)
 class AccessOutcome:
-    """What happened on a cache access or fill."""
+    """What happened on a demand access."""
 
     hit: bool
     #: Prefetcher kind if this was the first demand touch of a
     #: prefetched line, else None.
     prefetch_hit: Optional[str] = None
-    evicted: Optional[CacheLine] = None  # victim displaced by a fill
 
+
+#: A displaced line: ``(line, dirty)``.
+Evicted = Tuple[int, bool]
 
 #: Shared outcomes for the two overwhelmingly common cases.  Treat them
-#: as immutable: :meth:`Cache.access` returns these instead of allocating
-#: a fresh record per miss / plain hit.
+#: as immutable: ``access`` returns these instead of allocating a fresh
+#: record per miss / plain hit.
 _MISS = AccessOutcome(hit=False)
 _PLAIN_HIT = AccessOutcome(hit=True)
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+class _Geometry:
+    """Sets, ways and line size shared by both cache models."""
+
+    def __init__(self, name: str, size_bytes: int, ways: int, line_size: int):
+        num_sets = size_bytes // (line_size * ways)
+        if num_sets <= 0 or num_sets & (num_sets - 1):
+            raise ValueError(
+                f"{name}: geometry {size_bytes}B/{ways}-way/{line_size}B "
+                f"yields {num_sets} sets (must be a positive power of two)"
+            )
+        self.name = name
+        self.size_bytes = size_bytes
+        self.total_ways = ways
+        self.active_ways = ways
+        self.line_size = line_size
+        self.num_sets = num_sets
+        self.set_mask = num_sets - 1
+
+    def set_of(self, line: int) -> int:
+        """Set index of a line address."""
+        return line & self.set_mask
+
+    @property
+    def active_size_bytes(self) -> int:
+        """Capacity of the currently active ways."""
+        return self.num_sets * self.active_ways * self.line_size
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"{type(self).__name__}({self.name}, {self.size_bytes}B, "
+            f"{self.total_ways}-way, {self.num_sets} sets, "
+            f"active_ways={self.active_ways})"
+        )
 
 
-class Cache:
-    """Set-associative cache keyed by line address.
+# -- LruCache's packed line state ------------------------------------------
+#
+# Each resident line maps to one int: bit 0 is the dirty bit, bits 1-2
+# the prefetch kind that brought the line in and has not yet seen a
+# demand touch (0: none, PF_L1, PF_L2), and the bits from WAY_SHIFT up
+# the way the line occupies.  CacheHierarchy's inlined L1/L2 paths use
+# the same encoding.
+
+DIRTY = 1
+PF_L1 = 2
+PF_L2 = 4
+PF_MASK = PF_L1 | PF_L2
+WAY_SHIFT = 3
+#: Packed prefetch bits -> prefetcher kind.
+PF_KIND = (None, "l1", "l2")
+#: Prefetcher kind -> packed prefetch bits.
+PF_BITS = {None: 0, "l1": PF_L1, "l2": PF_L2}
+
+
+class LruCache(_Geometry):
+    """Set-associative LRU cache keyed by line address.
+
+    Each set is a dict ``line -> packed state`` kept in recency order,
+    least recent first: a hit pops and reinserts the line, and the
+    victim is the first key.  Lines still hold way positions: a fill
+    takes the lowest free way (a per-set min-heap), or else the victim's
+    way, so :meth:`set_active_ways` evicts exactly the lines a way-based
+    LRU model would.  Behaviour matches ``Cache(policy="lru")`` on every
+    operation; tests hold the two against each other.
+    """
+
+    def __init__(
+        self, name: str, size_bytes: int, ways: int, line_size: int = LINE_SIZE
+    ):
+        super().__init__(name, size_bytes, ways, line_size)
+        #: Per set: ``line -> packed state``, least recently used first.
+        self.sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        #: Per set: min-heap of free active ways (an ascending range is
+        #: already a heap).
+        self.free_ways: List[List[int]] = [
+            list(range(ways)) for _ in range(self.num_sets)
+        ]
+
+    def contains(self, line: int) -> bool:
+        """Return True if ``line`` is resident (no recency update)."""
+        return line in self.sets[line & self.set_mask]
+
+    def occupancy(self) -> int:
+        """Number of valid lines currently resident."""
+        return sum(len(lines) for lines in self.sets)
+
+    def access(self, line: int, pc: int = 0, is_write: bool = False) -> AccessOutcome:
+        """Demand access: on a hit make ``line`` most recent; never fill."""
+        lines = self.sets[line & self.set_mask]
+        state = lines.pop(line, None)
+        if state is None:
+            return _MISS
+        if is_write:
+            state |= DIRTY
+        if state & PF_MASK:
+            lines[line] = state & ~PF_MASK
+            return AccessOutcome(True, PF_KIND[state >> 1 & 3])
+        lines[line] = state
+        return _PLAIN_HIT
+
+    def fill(
+        self,
+        line: int,
+        pc: int = 0,
+        dirty: bool = False,
+        prefetched: Optional[str] = None,
+    ) -> Optional[Evicted]:
+        """Install ``line`` as most recent; return the victim, if any.
+
+        Filling a resident line makes it most recent and merges the dirty
+        bit instead of duplicating it.
+        """
+        if not self.active_ways:
+            return None  # fully partitioned away: nothing to install into
+        set_idx = line & self.set_mask
+        lines = self.sets[set_idx]
+        state = lines.pop(line, None)
+        if state is not None:
+            lines[line] = state | DIRTY if dirty else state
+            return None
+        free = self.free_ways[set_idx]
+        victim = None
+        if free:
+            way = heappop(free)
+        else:
+            victim_line = next(iter(lines))
+            victim_state = lines.pop(victim_line)
+            way = victim_state >> WAY_SHIFT
+            victim = (victim_line, victim_state & DIRTY == DIRTY)
+        lines[line] = way << WAY_SHIFT | PF_BITS[prefetched] | (DIRTY if dirty else 0)
+        return victim
+
+    def invalidate(self, line: int) -> Optional[Evicted]:
+        """Drop ``line`` if resident; return it (caller handles writeback)."""
+        set_idx = line & self.set_mask
+        state = self.sets[set_idx].pop(line, None)
+        if state is None:
+            return None
+        heappush(self.free_ways[set_idx], state >> WAY_SHIFT)
+        return (line, state & DIRTY == DIRTY)
+
+    def mark_dirty(self, line: int) -> bool:
+        """Set the dirty bit of a resident line; return whether it was found."""
+        lines = self.sets[line & self.set_mask]
+        state = lines.get(line)
+        if state is None:
+            return False
+        lines[line] = state | DIRTY  # rebinding a key keeps its position
+        return True
+
+    def set_active_ways(self, n: int) -> List[Evicted]:
+        """Restrict the cache to its first ``n`` ways (see :class:`Cache`)."""
+        if not 0 <= n <= self.total_ways:
+            raise ValueError(f"{self.name}: active ways {n} out of range")
+        evicted: List[Evicted] = []
+        if n < self.active_ways:
+            for lines, free in zip(self.sets, self.free_ways):
+                doomed = [
+                    line for line, state in lines.items() if state >> WAY_SHIFT >= n
+                ]
+                for line in doomed:
+                    evicted.append((line, lines.pop(line) & DIRTY == DIRTY))
+                free[:] = [way for way in free if way < n]
+                heapify(free)
+        elif n > self.active_ways:
+            reenabled = range(self.active_ways, n)
+            for free in self.free_ways:
+                for way in reenabled:
+                    heappush(free, way)
+        self.active_ways = n
+        return evicted
+
+
+class Cache(_Geometry):
+    """Set-associative cache keyed by line address, driven by a
+    :class:`~repro.replacement.base.ReplacementPolicy`.
 
     Parameters
     ----------
@@ -74,18 +253,8 @@ class Cache:
         line_size: int = LINE_SIZE,
         policy: Union[str, ReplacementPolicy] = "lru",
     ):
-        num_sets = size_bytes // (line_size * ways)
-        if num_sets <= 0 or not _is_pow2(num_sets):
-            raise ValueError(
-                f"{name}: geometry {size_bytes}B/{ways}-way/{line_size}B "
-                f"yields {num_sets} sets (must be a positive power of two)"
-            )
-        self.name = name
-        self.size_bytes = size_bytes
-        self.total_ways = ways
-        self.active_ways = ways
-        self.line_size = line_size
-        self.num_sets = num_sets
+        super().__init__(name, size_bytes, ways, line_size)
+        num_sets = self.num_sets
         if isinstance(policy, str):
             # Local import avoids a cycle: repro.replacement re-exports us.
             from repro.replacement import make_policy
@@ -113,25 +282,12 @@ class Cache:
         # free way in O(log ways) instead of scanning every way; an
         # ascending range is already a valid heap.
         self._free: List[List[int]] = [list(range(ways)) for _ in range(num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    # -- geometry helpers --------------------------------------------------
-
-    def set_of(self, line: int) -> int:
-        """Set index of a line address."""
-        return line & (self.num_sets - 1)
-
-    @property
-    def active_size_bytes(self) -> int:
-        """Capacity of the currently active ways."""
-        return self.num_sets * self.active_ways * self.line_size
 
     # -- queries (no side effects) ----------------------------------------
 
     def contains(self, line: int) -> bool:
         """Return True if ``line`` is resident (no replacement update)."""
-        return line in self._index[line & (self.num_sets - 1)]
+        return line in self._index[line & self.set_mask]
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
@@ -145,12 +301,10 @@ class Cache:
         On a miss the caller is expected to consult the next level and
         call :meth:`fill`.
         """
-        set_idx = line & (self.num_sets - 1)
+        set_idx = line & self.set_mask
         way = self._index[set_idx].get(line)
         if way is None:
-            self.misses += 1
             return _MISS
-        self.hits += 1
         entry = self._ways[set_idx][way]
         if is_write:
             entry.dirty = True
@@ -167,7 +321,7 @@ class Cache:
         pc: int = 0,
         dirty: bool = False,
         prefetched: Optional[str] = None,
-    ) -> Optional[CacheLine]:
+    ) -> Optional[Evicted]:
         """Install ``line``; return the victim (if a valid line was evicted).
 
         Filling a line that is already resident refreshes its replacement
@@ -175,7 +329,7 @@ class Cache:
         """
         if self.active_ways == 0:
             return None  # fully partitioned away: nothing to install into
-        set_idx = line & (self.num_sets - 1)
+        set_idx = line & self.set_mask
         index = self._index[set_idx]
         ways = self._ways[set_idx]
         existing = index.get(line)
@@ -186,22 +340,23 @@ class Cache:
             return None
 
         free = self._free[set_idx]
-        victim: Optional[CacheLine] = None
+        victim: Optional[Evicted] = None
         if free:
             way = heappop(free)
         else:
             way = self._policy_victim(set_idx, pc)
-            victim = ways[way]
-            del index[victim.line]
+            entry = ways[way]
+            del index[entry.line]
             self._policy_on_evict(set_idx, way)
-        ways[way] = CacheLine(line, dirty, prefetched, pc)
+            victim = (entry.line, entry.dirty)
+        ways[way] = CacheLine(line, dirty, prefetched)
         index[line] = way
         if self._policy_tracks_keys:
             self.policy.set_line_key(set_idx, way, line)
         self._policy_on_fill(set_idx, way, pc)
         return victim
 
-    def invalidate(self, line: int) -> Optional[CacheLine]:
+    def invalidate(self, line: int) -> Optional[Evicted]:
         """Drop ``line`` if resident; return it (caller handles writeback)."""
         set_idx = self.set_of(line)
         way = self._index[set_idx].pop(line, None)
@@ -211,11 +366,11 @@ class Cache:
         self._ways[set_idx][way] = None
         heappush(self._free[set_idx], way)
         self._policy_on_evict(set_idx, way)
-        return entry
+        return (entry.line, entry.dirty)
 
     def mark_dirty(self, line: int) -> bool:
         """Set the dirty bit of a resident line; return whether it was found."""
-        set_idx = line & (self.num_sets - 1)
+        set_idx = line & self.set_mask
         way = self._index[set_idx].get(line)
         if way is None:
             return False
@@ -224,7 +379,7 @@ class Cache:
 
     # -- way partitioning ---------------------------------------------------
 
-    def set_active_ways(self, n: int) -> List[CacheLine]:
+    def set_active_ways(self, n: int) -> List[Evicted]:
         """Restrict the cache to its first ``n`` ways.
 
         Shrinking invalidates (and returns) every line in the deactivated
@@ -234,7 +389,7 @@ class Cache:
         """
         if not 0 <= n <= self.total_ways:
             raise ValueError(f"{self.name}: active ways {n} out of range")
-        evicted: List[CacheLine] = []
+        evicted: List[Evicted] = []
         if n < self.active_ways:
             for set_idx in range(self.num_sets):
                 ways = self._ways[set_idx]
@@ -242,7 +397,7 @@ class Cache:
                 for way in range(n, self.active_ways):
                     entry = ways[way]
                     if entry is not None:
-                        evicted.append(entry)
+                        evicted.append((entry.line, entry.dirty))
                         del index[entry.line]
                         ways[way] = None
                         self.policy.on_evict(set_idx, way)
@@ -262,9 +417,3 @@ class Cache:
         self.active_ways = n
         self.policy.resize_ways(n)
         return evicted
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Cache({self.name}, {self.size_bytes}B, {self.total_ways}-way, "
-            f"{self.num_sets} sets, active_ways={self.active_ways})"
-        )

@@ -11,10 +11,19 @@ prefetches through :meth:`CacheHierarchy.prefetch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from heapq import heappop
+from typing import Optional, Union
 
 from repro.memory.address import LINE_SIZE
-from repro.memory.cache import Cache
+from repro.memory.cache import (
+    DIRTY,
+    PF_L1,
+    PF_L2,
+    PF_MASK,
+    WAY_SHIFT,
+    Cache,
+    LruCache,
+)
 from repro.memory.dram import TrafficCounter
 from repro.replacement.base import ReplacementPolicy
 
@@ -81,7 +90,15 @@ class CoreCounters:
 
 
 class CacheHierarchy:
-    """Private L1D/L2 per core over a shared, way-partitionable LLC."""
+    """Private L1D/L2 per core over a shared, way-partitionable LLC.
+
+    L1D and L2 are always :class:`LruCache`; the demand and prefetch
+    paths work on their set dicts directly (one call per access instead
+    of one per level), with the same packed line state and way
+    bookkeeping as :meth:`LruCache.fill`.  The LLC is an
+    :class:`LruCache` under ``llc_policy="lru"`` and a policy-driven
+    :class:`Cache` otherwise; it is only reached through its methods.
+    """
 
     def __init__(
         self,
@@ -98,16 +115,18 @@ class CacheHierarchy:
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
         self.n_cores = n_cores
-        self.l1s = [
-            Cache(f"L1D{c}", l1_size, l1_ways, policy="lru") for c in range(n_cores)
-        ]
-        self.l2s = [
-            Cache(f"L2_{c}", l2_size, l2_ways, policy="lru") for c in range(n_cores)
-        ]
-        self.llc = Cache(
-            "LLC", llc_size_per_core * n_cores, llc_ways, policy=llc_policy
+        self.l1s = [LruCache(f"L1D{c}", l1_size, l1_ways) for c in range(n_cores)]
+        self.l2s = [LruCache(f"L2_{c}", l2_size, l2_ways) for c in range(n_cores)]
+        llc_size = llc_size_per_core * n_cores
+        self.llc: Union[LruCache, Cache] = (
+            LruCache("LLC", llc_size, llc_ways)
+            if llc_policy == "lru"
+            else Cache("LLC", llc_size, llc_ways, policy=llc_policy)
         )
         self.traffic = traffic if traffic is not None else TrafficCounter()
+        #: The traffic counter's byte dict; the categories used here are
+        #: fixed, so the hot paths add to it without validation.
+        self._bytes = self.traffic.bytes_by_category
         self.counters = [CoreCounters() for _ in range(n_cores)]
 
     # -- demand path ---------------------------------------------------------
@@ -119,36 +138,49 @@ class CacheHierarchy:
         line = addr >> 6
         counters = self.counters[core]
         counters.accesses += 1
-        l1 = self.l1s[core]
-        l2 = self.l2s[core]
 
-        if l1.access(line, pc, is_write).hit:
+        l1 = self.l1s[core]
+        lines = l1.sets[line & l1.set_mask]
+        state = lines.pop(line, None)
+        if state is not None:
+            # L1 lines are never prefetched (prefetches fill L2 only).
+            lines[line] = state | DIRTY if is_write else state
             counters.l1_hits += 1
             return HierarchyEvent(core, pc, line, "l1", None, is_write)
 
-        l2_outcome = l2.access(line, pc, is_write)
-        if l2_outcome.hit:
+        l2 = self.l2s[core]
+        lines = l2.sets[line & l2.set_mask]
+        state = lines.pop(line, None)
+        if state is not None:
+            if is_write:
+                state |= DIRTY
+            kind = None
+            if state & PF_MASK:
+                if state & PF_L2:
+                    kind = "l2"
+                    counters.l2_prefetch_hits += 1
+                else:
+                    kind = "l1"
+                    counters.l1pf_useful += 1
+                state &= ~PF_MASK
+            lines[line] = state
             counters.l2_hits += 1
-            if l2_outcome.prefetch_hit == "l2":
-                counters.l2_prefetch_hits += 1
-            elif l2_outcome.prefetch_hit == "l1":
-                counters.l1pf_useful += 1
-            self._fill_l1(core, line, pc, is_write)
-            return HierarchyEvent(
-                core, pc, line, "l2", l2_outcome.prefetch_hit, is_write
-            )
+            self._fill_l1(core, line, DIRTY if is_write else 0)
+            return HierarchyEvent(core, pc, line, "l2", kind, is_write)
 
-        llc_outcome = self.llc.access(line, pc)
-        if llc_outcome.hit:
+        if self.llc.access(line, pc).hit:
             counters.llc_hits += 1
             hit_level = "llc"
         else:
             counters.dram_accesses += 1
-            self.traffic.add("demand", LINE_SIZE)
-            self._fill_llc(line, pc)
+            self._bytes["demand"] += LINE_SIZE
+            victim = self.llc.fill(line, pc)
+            if victim is not None and victim[1]:
+                self._bytes["writeback"] += LINE_SIZE
             hit_level = "dram"
-        self._fill_l2(core, line, pc, is_write)
-        self._fill_l1(core, line, pc, is_write)
+        dirty = DIRTY if is_write else 0
+        self._fill_l2(core, line, dirty)
+        self._fill_l1(core, line, dirty)
         return HierarchyEvent(core, pc, line, hit_level, None, is_write)
 
     # -- prefetch path ---------------------------------------------------------
@@ -165,28 +197,31 @@ class CacheHierarchy:
         """
         counters = self.counters[core]
         l2 = self.l2s[core]
-        if l2.contains(line):
-            if kind == "l2":
+        l2_prefetch = kind == "l2"
+        if line in l2.sets[line & l2.set_mask]:
+            if l2_prefetch:
                 counters.prefetches_redundant += 1
             else:
                 counters.l1pf_redundant += 1
             return "redundant"
-        if kind == "l2":
+        if l2_prefetch:
             counters.prefetches_issued += 1
         else:
             counters.l1pf_issued += 1
         if self.llc.contains(line):
-            if kind == "l2":
+            if l2_prefetch:
                 counters.prefetch_fills_from_llc += 1
-            self._fill_l2(core, line, pc, is_write=False, prefetched=kind)
+            self._fill_l2(core, line, PF_L2 if l2_prefetch else PF_L1)
             return "llc"
-        if kind == "l2":
+        if l2_prefetch:
             counters.prefetch_fills_from_dram += 1
         else:
             counters.l1pf_fills_from_dram += 1
-        self.traffic.add("prefetch", LINE_SIZE)
-        self._fill_llc(line, pc)
-        self._fill_l2(core, line, pc, is_write=False, prefetched=kind)
+        self._bytes["prefetch"] += LINE_SIZE
+        victim = self.llc.fill(line, pc)
+        if victim is not None and victim[1]:
+            self._bytes["writeback"] += LINE_SIZE
+        self._fill_l2(core, line, PF_L2 if l2_prefetch else PF_L1)
         return "dram"
 
     # -- LLC way partitioning -----------------------------------------------
@@ -195,36 +230,50 @@ class CacheHierarchy:
         """Shrink or grow the LLC's data partition (Triage metadata takes
         the remainder).  Dirty lines flushed by a shrink are written back.
         """
-        evicted = self.llc.set_active_ways(data_ways)
-        for victim in evicted:
-            if victim.dirty:
-                self.traffic.add("writeback", LINE_SIZE)
+        for _line, dirty in self.llc.set_active_ways(data_ways):
+            if dirty:
+                self._bytes["writeback"] += LINE_SIZE
 
     # -- internals ---------------------------------------------------------
+    #
+    # The L1/L2 fills install a line the caller has just seen miss, so
+    # they skip LruCache.fill's resident-refill branch; otherwise they
+    # are LruCache.fill inlined.
 
-    def _fill_l1(self, core: int, line: int, pc: int, is_write: bool) -> None:
-        victim = self.l1s[core].fill(line, pc, dirty=is_write)
-        if victim is not None and victim.dirty:
-            # Write-back to L2; L2 holds the line in an inclusive-ish
-            # hierarchy, but guard for the rare partition-resize race.
-            if not self.l2s[core].mark_dirty(victim.line):
-                if not self.llc.mark_dirty(victim.line):
-                    self.traffic.add("writeback", LINE_SIZE)
+    def _fill_l1(self, core: int, line: int, dirty: int) -> None:
+        """Install ``line`` in L1 with packed dirty bit ``dirty``."""
+        l1 = self.l1s[core]
+        set_idx = line & l1.set_mask
+        lines = l1.sets[set_idx]
+        free = l1.free_ways[set_idx]
+        if free:
+            lines[line] = heappop(free) << WAY_SHIFT | dirty
+            return
+        victim = next(iter(lines))
+        state = lines.pop(victim)
+        lines[line] = state >> WAY_SHIFT << WAY_SHIFT | dirty
+        if state & DIRTY:
+            # Write-back to L2.  L2 does not back-invalidate L1, so it
+            # may have evicted the line already: then the LLC, or DRAM.
+            l2 = self.l2s[core]
+            l2_lines = l2.sets[victim & l2.set_mask]
+            l2_state = l2_lines.get(victim)
+            if l2_state is not None:
+                l2_lines[victim] = l2_state | DIRTY
+            elif not self.llc.mark_dirty(victim):
+                self._bytes["writeback"] += LINE_SIZE
 
-    def _fill_l2(
-        self,
-        core: int,
-        line: int,
-        pc: int,
-        is_write: bool,
-        prefetched: Optional[str] = None,
-    ) -> None:
-        victim = self.l2s[core].fill(line, pc, dirty=is_write, prefetched=prefetched)
-        if victim is not None and victim.dirty:
-            if not self.llc.mark_dirty(victim.line):
-                self.traffic.add("writeback", LINE_SIZE)
-
-    def _fill_llc(self, line: int, pc: int) -> None:
-        victim = self.llc.fill(line, pc)
-        if victim is not None and victim.dirty:
-            self.traffic.add("writeback", LINE_SIZE)
+    def _fill_l2(self, core: int, line: int, state_bits: int) -> None:
+        """Install ``line`` in L2 with packed dirty/prefetch ``state_bits``."""
+        l2 = self.l2s[core]
+        set_idx = line & l2.set_mask
+        lines = l2.sets[set_idx]
+        free = l2.free_ways[set_idx]
+        if free:
+            lines[line] = heappop(free) << WAY_SHIFT | state_bits
+            return
+        victim = next(iter(lines))
+        state = lines.pop(victim)
+        lines[line] = state >> WAY_SHIFT << WAY_SHIFT | state_bits
+        if state & DIRTY and not self.llc.mark_dirty(victim):
+            self._bytes["writeback"] += LINE_SIZE

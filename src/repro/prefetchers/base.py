@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefetchCandidate:
     """A prefetch the engine should try to issue.
 

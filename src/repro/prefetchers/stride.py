@@ -46,17 +46,22 @@ class StridePrefetcher(BasePrefetcher):
         if stride == 0:
             return []
         if stride == entry.stride:
-            entry.confidence = min(self.CONFIDENCE_MAX, entry.confidence + 1)
+            if entry.confidence < self.CONFIDENCE_MAX:
+                entry.confidence += 1
         else:
             entry.confidence -= 1
             if entry.confidence <= 0:
                 entry.stride = stride
                 entry.confidence = 1
         entry.last_line = line
-        if entry.confidence < self.CONFIDENCE_THRESHOLD or entry.stride == 0:
+        step = entry.stride
+        if entry.confidence < self.CONFIDENCE_THRESHOLD or step == 0:
             return []
-        lines = [line + entry.stride * i for i in range(1, self.degree + 1)]
-        return self.candidates([l for l in lines if l > 0])
+        return [
+            PrefetchCandidate(target, None, self)
+            for i in range(1, self.degree + 1)
+            if (target := line + step * i) > 0
+        ]
 
     def _insert(self, pc: int, entry: _StrideEntry) -> None:
         if len(self._table) >= self.table_size:

@@ -1,10 +1,12 @@
 """Interface every cache replacement policy implements.
 
-A policy is attached to one :class:`repro.memory.cache.Cache`.  The cache
-calls back into the policy on hits, fills and evictions, and asks it to
-pick a victim way when a set is full.  Policies are keyed purely by
-``(set_index, way)`` so the same implementation serves data caches and
-Triage's entry-granularity metadata store alike.
+A policy is attached to one set-associative structure: a policy-driven
+:class:`repro.memory.cache.Cache` (a non-LRU LLC) or Triage's metadata
+store.  The owner calls back into the policy on hits, fills and
+evictions, and asks it to pick a victim way when a set is full.
+Policies are keyed purely by ``(set_index, way)`` so the same
+implementation serves data caches and Triage's entry-granularity
+metadata store alike.
 
 The victim contract is allocation-free: the owner guarantees every way
 in ``0..num_ways-1`` holds a valid line when :meth:`victim` is called (a

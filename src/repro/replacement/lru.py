@@ -10,6 +10,11 @@ from repro.replacement.base import ReplacementPolicy
 class LruPolicy(ReplacementPolicy):
     """Classic LRU: evict the way touched longest ago.
 
+    The metadata store's ``policy="lru"`` ablation (paper Figure 9) runs
+    on it, and ``Cache(policy="lru")`` is the way-based reference that
+    tests hold :class:`repro.memory.cache.LruCache` against.  The
+    hierarchy's LRU levels are ``LruCache`` and never call it.
+
     Recency is tracked with a per-set monotone timestamp, which is cheaper
     in Python than maintaining an explicit recency stack and behaves
     identically.  :meth:`victim` is two C-level passes over a 16-ish
@@ -25,7 +30,7 @@ class LruPolicy(ReplacementPolicy):
 
     def on_hit(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
         # Inlined (rather than sharing a _touch helper): these two hooks
-        # run once per simulated access, so one call frame matters.
+        # run on every metadata-store hit and install.
         self._clock += 1
         self._last_touch[set_idx][way] = self._clock
 

@@ -94,7 +94,9 @@ def simulate_multicore(
     )
     core_triages = [triage_components(pf) for pf in prefetchers]
     all_triages = [t for triages in core_triages for t in triages]
-    _MetadataPartition(hierarchy, config, all_triages, charge_metadata_to_llc)
+    partition = _MetadataPartition(
+        hierarchy, config, all_triages, charge_metadata_to_llc
+    )
     l1pfs = [make_l1_prefetcher(config) for _ in range(n_cores)]
 
     session = obs if obs is not None else get_session()
@@ -204,6 +206,10 @@ def simulate_multicore(
     profiling = session is not None and session.profile
     t_stream = t_l1pf = t_l2pf = 0.0
     t0 = 0.0
+    # Bound once: these run on every access.
+    access = hierarchy.access
+    prefetch = hierarchy.prefetch
+    l1_observes = [l1pf.observe if l1pf is not None else None for l1pf in l1pfs]
     for step in range(warmup_accesses_per_core + accesses_per_core):
         if step == warmup_accesses_per_core and warmup_accesses_per_core > 0:
             # Warmup ends (paper: "we warm the cache ... and measure the
@@ -230,15 +236,15 @@ def simulate_multicore(
             positions[core] = (positions[core] + 1) % len(core_records)
             if profiling:
                 t0 = time.perf_counter()
-            event = hierarchy.access(core, pc, addr, is_write)
+            event = access(core, pc, addr, is_write)
             if profiling:
                 t_stream += time.perf_counter() - t0
-            l1pf = l1pfs[core]
-            if l1pf is not None:
+            l1_observe = l1_observes[core]
+            if l1_observe is not None:
                 if profiling:
                     t0 = time.perf_counter()
-                for candidate in l1pf.observe(pc, event.line):
-                    hierarchy.prefetch(core, candidate.line, pc, kind="l1")
+                for candidate in l1_observe(pc, event.line):
+                    prefetch(core, candidate.line, pc, kind="l1")
                 if profiling:
                     t_l1pf += time.perf_counter() - t0
             pf = prefetchers[core]
@@ -254,7 +260,7 @@ def simulate_multicore(
                     prefetch_hit=event.prefetch_hit_kind == "l2",
                 )
                 for candidate in candidates:
-                    source = hierarchy.prefetch(core, candidate.line, event.pc)
+                    source = prefetch(core, candidate.line, event.pc)
                     owner = candidate.owner or pf
                     owner.feedback(candidate, source)
                 metadata_bytes = pf.drain_metadata_traffic()
@@ -353,4 +359,5 @@ def simulate_multicore(
             ),
         )
         run.finish(manifest)
+    partition.detach()
     return result

@@ -81,7 +81,9 @@ def simulate_queued(
         llc_policy=config.llc_policy,
     )
     triages = triage_components(pf)
-    _MetadataPartition(hierarchy, config, triages, charge_metadata_to_llc)
+    partition = _MetadataPartition(
+        hierarchy, config, triages, charge_metadata_to_llc
+    )
     l1pf = make_l1_prefetcher(config)
 
     session = obs if obs is not None else get_session()
@@ -284,4 +286,5 @@ def simulate_queued(
             phases=(("metadata_store", _metadata_store_seconds(triages)),),
         )
         run.finish(manifest)
+    partition.detach()
     return result

@@ -83,6 +83,16 @@ class _MetadataPartition:
             triage.on_partition_change = lambda _capacity: self.apply()
         self.apply()
 
+    def detach(self) -> None:
+        """Drop the Triage callbacks once the run is over.
+
+        Each callback refers back to this object and so to the hierarchy:
+        a reference cycle that would keep the whole run's cache state
+        alive until the next full garbage collection.
+        """
+        for triage in self.triages:
+            triage.on_partition_change = None
+
     def metadata_bytes(self) -> int:
         return sum(
             t.metadata_capacity_bytes for t in self.triages if not t.store.unbounded
@@ -152,7 +162,9 @@ def simulate(
         bandwidth_bytes_per_cycle=config.dram_bandwidth_bytes_per_cycle,
     )
     triages = triage_components(pf)
-    _MetadataPartition(hierarchy, config, triages, charge_metadata_to_llc)
+    partition = _MetadataPartition(
+        hierarchy, config, triages, charge_metadata_to_llc
+    )
     l1pf = make_l1_prefetcher(config)
 
     session = obs if obs is not None else get_session()
@@ -260,6 +272,10 @@ def simulate(
 
     t_stream = t_l1pf = t_l2pf = 0.0
     t0 = 0.0
+    # Bound once: these run on every access.
+    access = hierarchy.access
+    prefetch = hierarchy.prefetch
+    l1_observe = l1pf.observe if l1pf is not None else None
     for access_idx, (pc, addr, is_write) in enumerate(trace):
         if access_idx == warmup_accesses and warmup_accesses > 0:
             # Warmup ends: drop the statistics gathered so far (state in
@@ -290,16 +306,16 @@ def simulate(
             ]
         if profiling:
             t0 = time.perf_counter()
-        event = hierarchy.access(0, pc, addr, is_write)
+        event = access(0, pc, addr, is_write)
         if profiling:
             t_stream += time.perf_counter() - t0
         accesses_in_epoch += 1
-        if l1pf is not None:
+        if l1_observe is not None:
             # The stride prefetcher trains on the L1D access stream.
             if profiling:
                 t0 = time.perf_counter()
-            for candidate in l1pf.observe(pc, event.line):
-                hierarchy.prefetch(0, candidate.line, pc, kind="l1")
+            for candidate in l1_observe(pc, event.line):
+                prefetch(0, candidate.line, pc, kind="l1")
             if profiling:
                 t_l1pf += time.perf_counter() - t0
         # Inlined event.trains_l2_prefetcher (property call per access).
@@ -313,7 +329,7 @@ def simulate(
                 prefetch_hit=event.prefetch_hit_kind == "l2",
             )
             for candidate in candidates:
-                source = hierarchy.prefetch(0, candidate.line, event.pc)
+                source = prefetch(0, candidate.line, event.pc)
                 owner = candidate.owner or pf
                 owner.feedback(candidate, source)
             metadata_bytes = pf.drain_metadata_traffic()
@@ -391,6 +407,7 @@ def simulate(
             ),
         )
         run.finish(manifest)
+    partition.detach()
     return result
 
 

@@ -1,128 +1,128 @@
-"""Unit tests for the set-associative cache model."""
+"""Unit tests for the set-associative cache models.
+
+Every test runs against both :class:`LruCache` and the policy-driven
+``Cache(policy="lru")``: they share one public surface and must behave
+identically (``tests/test_properties.py`` holds them against each other
+on random operation sequences).
+"""
 
 import pytest
 
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, LruCache
 
 
-def make_cache(size=4096, ways=4, policy="lru"):
-    return Cache("T", size, ways, policy=policy)
+def caches(size=4096, ways=4):
+    """One cache of each class with the given geometry."""
+    return [LruCache("T", size, ways), Cache("T", size, ways, policy="lru")]
 
 
 def test_geometry():
-    cache = make_cache(size=4096, ways=4)  # 4096 / (64*4) = 16 sets
-    assert cache.num_sets == 16
-    assert cache.total_ways == 4
-    assert cache.active_size_bytes == 4096
+    for cache in caches(size=4096, ways=4):  # 4096 / (64*4) = 16 sets
+        assert cache.num_sets == 16
+        assert cache.total_ways == 4
+        assert cache.active_size_bytes == 4096
+        assert cache.set_of(17) == 1
 
 
 def test_bad_geometry_rejected():
-    with pytest.raises(ValueError):
-        Cache("bad", 1000, 3)  # not a power-of-two set count
+    for cls in (LruCache, Cache):
+        with pytest.raises(ValueError):
+            cls("bad", 1000, 3)  # not a power-of-two set count
 
 
 def test_miss_then_fill_then_hit():
-    cache = make_cache()
-    assert not cache.access(100).hit
-    cache.fill(100)
-    assert cache.access(100).hit
-    assert cache.contains(100)
+    for cache in caches():
+        assert not cache.access(100).hit
+        cache.fill(100)
+        assert cache.access(100).hit
+        assert cache.contains(100)
 
 
 def test_fill_evicts_lru_victim():
-    cache = make_cache(size=1024, ways=2)  # 8 sets
-    s = cache.num_sets
-    lines = [s * i for i in range(3)]  # all map to set 0
-    cache.fill(lines[0])
-    cache.fill(lines[1])
-    cache.access(lines[0])  # lines[1] is now LRU
-    victim = cache.fill(lines[2])
-    assert victim is not None and victim.line == lines[1]
-    assert cache.contains(lines[0]) and cache.contains(lines[2])
+    for cache in caches(size=1024, ways=2):  # 8 sets
+        s = cache.num_sets
+        lines = [s * i for i in range(3)]  # all map to set 0
+        cache.fill(lines[0])
+        cache.fill(lines[1], dirty=True)
+        cache.access(lines[0])  # lines[1] is now LRU
+        assert cache.fill(lines[2]) == (lines[1], True)
+        assert cache.contains(lines[0]) and cache.contains(lines[2])
 
 
 def test_dirty_bit_set_on_write_and_merge_on_refill():
-    cache = make_cache()
-    cache.fill(7)
-    cache.access(7, is_write=True)
-    cache.fill(7, dirty=False)  # re-fill must not clear dirty
-    victim = cache.invalidate(7)
-    assert victim is not None and victim.dirty
+    for cache in caches():
+        cache.fill(7)
+        cache.access(7, is_write=True)
+        cache.fill(7, dirty=False)  # re-fill must not clear dirty
+        assert cache.invalidate(7) == (7, True)
 
 
 def test_prefetched_flag_cleared_on_first_demand_touch():
-    cache = make_cache()
-    cache.fill(9, prefetched="l2")
-    first = cache.access(9)
-    second = cache.access(9)
-    assert first.prefetch_hit == "l2"
-    assert second.prefetch_hit is None
+    for cache in caches():
+        cache.fill(9, prefetched="l2")
+        cache.fill(10, prefetched="l1")
+        first = cache.access(9)
+        second = cache.access(9)
+        assert first.prefetch_hit == "l2"
+        assert second.prefetch_hit is None
+        assert cache.access(10).prefetch_hit == "l1"
 
 
 def test_invalidate_missing_line_is_none():
-    cache = make_cache()
-    assert cache.invalidate(42) is None
+    for cache in caches():
+        assert cache.invalidate(42) is None
 
 
 def test_mark_dirty():
-    cache = make_cache()
-    assert not cache.mark_dirty(5)
-    cache.fill(5)
-    assert cache.mark_dirty(5)
-    assert cache.invalidate(5).dirty
+    for cache in caches():
+        assert not cache.mark_dirty(5)
+        cache.fill(5)
+        assert cache.mark_dirty(5)
+        assert cache.invalidate(5) == (5, True)
 
 
 def test_occupancy_counts_valid_lines():
-    cache = make_cache()
-    assert cache.occupancy() == 0
-    for line in range(10):
-        cache.fill(line)
-    assert cache.occupancy() == 10
+    for cache in caches():
+        assert cache.occupancy() == 0
+        for line in range(10):
+            cache.fill(line)
+        assert cache.occupancy() == 10
 
 
 def test_shrink_active_ways_evicts_and_restricts():
-    cache = make_cache(size=1024, ways=4)  # 4 sets
-    s = cache.num_sets
-    for i in range(4):
-        cache.fill(s * i)  # fill all 4 ways of set 0
-    evicted = cache.set_active_ways(2)
-    assert len(evicted) == 2
-    assert cache.occupancy() == 2
-    # New fills never use deactivated ways: set 0 can hold at most 2.
-    for i in range(4, 8):
-        cache.fill(s * i)
-    assert sum(1 for i in range(8) if cache.contains(s * i)) == 2
+    for cache in caches(size=1024, ways=4):  # 4 sets
+        s = cache.num_sets
+        for i in range(4):
+            cache.fill(s * i, dirty=i == 3)  # fill all 4 ways of set 0
+        evicted = cache.set_active_ways(2)
+        assert sorted(evicted) == [(s * 2, False), (s * 3, True)]
+        assert cache.occupancy() == 2
+        # New fills never use deactivated ways: set 0 can hold at most 2.
+        for i in range(4, 8):
+            cache.fill(s * i)
+        assert sum(1 for i in range(8) if cache.contains(s * i)) == 2
 
 
 def test_grow_active_ways_reenables_capacity():
-    cache = make_cache(size=1024, ways=4)
-    cache.set_active_ways(1)
-    cache.set_active_ways(4)
-    s = cache.num_sets
-    for i in range(4):
-        cache.fill(s * i)
-    assert all(cache.contains(s * i) for i in range(4))
+    for cache in caches(size=1024, ways=4):
+        cache.set_active_ways(1)
+        cache.set_active_ways(4)
+        s = cache.num_sets
+        for i in range(4):
+            cache.fill(s * i)
+        assert all(cache.contains(s * i) for i in range(4))
 
 
 def test_zero_active_ways_bypasses_fill():
-    cache = make_cache(size=1024, ways=4)
-    cache.set_active_ways(0)
-    assert cache.fill(1) is None
-    assert not cache.contains(1)
+    for cache in caches(size=1024, ways=4):
+        cache.set_active_ways(0)
+        assert cache.fill(1) is None
+        assert not cache.contains(1)
 
 
 def test_set_active_ways_range_checked():
-    cache = make_cache(size=1024, ways=4)
-    with pytest.raises(ValueError):
-        cache.set_active_ways(5)
-    with pytest.raises(ValueError):
-        cache.set_active_ways(-1)
-
-
-def test_hit_miss_counters():
-    cache = make_cache()
-    cache.access(1)
-    cache.fill(1)
-    cache.access(1)
-    assert cache.misses == 1
-    assert cache.hits == 1
+    for cache in caches(size=1024, ways=4):
+        with pytest.raises(ValueError):
+            cache.set_active_ways(5)
+        with pytest.raises(ValueError):
+            cache.set_active_ways(-1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.compressed_tags import CompressedTagTable
 from repro.core.metadata_store import ENTRIES_PER_LINE, MetadataStore
 from repro.core.training_unit import TrainingUnit
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, LruCache
 from repro.memory.hierarchy import CacheHierarchy
 from repro.replacement.optgen import OptGen
 from repro.sim.stats import geomean
@@ -37,6 +37,50 @@ def test_lru_cache_matches_reference_model(stream):
             if len(bucket) >= ways:
                 bucket.popitem(last=False)
             bucket[line] = True
+
+
+#: One LruCache-vs-reference operation: (name, line, flag, kind).  ``flag``
+#: is the write/dirty bit; for ``set_active_ways`` ``line`` is the new
+#: way count.
+_cache_ops = st.tuples(
+    st.sampled_from(
+        ["access", "access", "fill", "fill", "invalidate", "mark_dirty",
+         "set_active_ways"]
+    ),
+    st.integers(min_value=0, max_value=11),
+    st.booleans(),
+    st.sampled_from([None, "l1", "l2"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_cache_ops, min_size=1, max_size=250))
+def test_lru_cache_matches_policy_cache(ops):
+    """LruCache's dict sets behave exactly like the way-based LRU Cache."""
+    # Six lines per 4-way set: fills keep evicting and refilling.
+    sets, ways = 2, 4
+    fast = LruCache("f", sets * ways * 64, ways)
+    ref = Cache("r", sets * ways * 64, ways, policy="lru")
+    for op, line, flag, kind in ops:
+        if op == "access":
+            got, want = fast.access(line, 0, flag), ref.access(line, 0, flag)
+            assert (got.hit, got.prefetch_hit) == (want.hit, want.prefetch_hit)
+        elif op == "fill":
+            got = fast.fill(line, 0, dirty=flag, prefetched=kind)
+            assert got == ref.fill(line, 0, dirty=flag, prefetched=kind)
+        elif op == "invalidate":
+            assert fast.invalidate(line) == ref.invalidate(line)
+        elif op == "mark_dirty":
+            assert fast.mark_dirty(line) == ref.mark_dirty(line)
+        else:
+            # Shrink to any width, 0 included; grow back as often.
+            n = line % (ways + 1)
+            got = sorted(fast.set_active_ways(n))
+            assert got == sorted(ref.set_active_ways(n))
+            assert fast.active_ways == ref.active_ways == n
+        assert fast.occupancy() == ref.occupancy()
+        for probe in range(12):
+            assert fast.contains(probe) == ref.contains(probe), (op, probe)
 
 
 @settings(max_examples=40, deadline=None)
