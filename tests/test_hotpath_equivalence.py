@@ -18,6 +18,15 @@ levels moved to :class:`repro.memory.cache.LruCache`; they pin the
 policy-driven ``Cache`` LLC and the dirty/writeback bookkeeping across
 that rewrite.
 
+The ``STORE_CELLS`` drive the metadata store's own slow paths, which the
+grid above never reaches (its stores never fill and its partitions never
+move): a 16 KB store under each replacement policy evicts thousands of
+entries, and a dynamic controller on 500-access epochs shrinks the store
+and the LLC's data ways mid-run while lines sit in the ways it gives up.
+They also pin each store's eviction count.  They were generated from the
+engine before the store and its policies dropped their per-set
+preallocation.
+
 Regenerate (only when a change alters results *intentionally*) with::
 
     PYTHONPATH=src python tests/test_hotpath_equivalence.py --regen
@@ -34,7 +43,10 @@ from pathlib import Path
 import pytest
 
 from repro import cache
+from repro.core.triage import TriagePrefetcher
 from repro.experiments import common
+from repro.prefetchers.triangel import TriangelPrefetcher
+from repro.sim.single_core import simulate
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "simresult_hotpath.json"
 
@@ -60,6 +72,24 @@ CELLS = [
     ("mcf", "triage_dynamic", "random"),
 ]
 
+KB = 1024
+
+#: Store-path cells: key -> fresh prefetcher, each run on ``mcf``.
+STORE_CELLS = {
+    "mcf/triage@16KB": lambda: TriagePrefetcher(
+        common.triage_config(capacity=16 * KB)
+    ),
+    "mcf/triage@16KB:lru": lambda: TriagePrefetcher(
+        common.triage_config(capacity=16 * KB, replacement="lru")
+    ),
+    "mcf/triangel@16KB": lambda: TriangelPrefetcher(
+        common.triangel_config(capacity=16 * KB)
+    ),
+    "mcf/triage_dynamic@epoch500": lambda: TriagePrefetcher(
+        common.triage_config(dynamic=True, epoch_accesses=500)
+    ),
+}
+
 REL_TOL = 1e-12  # bit-identical up to float formatting in JSON
 
 
@@ -81,10 +111,24 @@ def cell_key(bench: str, pf: str, llc_policy: str) -> str:
     return f"{bench}/{pf}" if llc_policy == "lru" else f"{bench}/{pf}@{llc_policy}"
 
 
+def store_cell_fingerprint(make_prefetcher) -> dict:
+    """A store cell's result fingerprint plus its store's eviction count."""
+    prefetcher = make_prefetcher()
+    result = simulate(
+        common.get_trace("mcf", N_ACCESSES),
+        prefetcher,
+        machine=common.MACHINE,
+        warmup_accesses=int(N_ACCESSES * common.WARMUP_FRACTION),
+    )
+    fingerprint = result_fingerprint(result)
+    fingerprint["store_evictions"] = prefetcher.store.evictions
+    return fingerprint
+
+
 def compute_grid() -> dict:
     common.clear_caches()
     try:
-        return {
+        grid = {
             cell_key(bench, pf, policy): result_fingerprint(
                 common.run_single(
                     bench, pf, n=N_ACCESSES,
@@ -93,6 +137,9 @@ def compute_grid() -> dict:
             )
             for bench, pf, policy in CELLS
         }
+        for key, make_prefetcher in STORE_CELLS.items():
+            grid[key] = store_cell_fingerprint(make_prefetcher)
+        return grid
     finally:
         common.clear_caches()
 
@@ -140,6 +187,16 @@ def test_golden_pins_writebacks_on_every_llc_kind():
     for bench, pf, policy in CELLS:
         key = cell_key(bench, pf, policy)
         assert cells[key]["traffic"]["writeback"] > 0, key
+
+
+def test_store_cells_reach_eviction_and_resize_paths():
+    """Each store cell evicts from the store or moves the partition."""
+    cells = json.loads(GOLDEN_PATH.read_text())["cells"]
+    for key in STORE_CELLS:
+        cell = cells[key]
+        assert (
+            cell["store_evictions"] > 0 or len(set(cell["partition_history"])) >= 2
+        ), key
 
 
 def regenerate() -> None:
