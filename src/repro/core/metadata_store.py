@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.compressed_tags import CompressedTagTable
 from repro.replacement.base import ReplacementPolicy
@@ -41,6 +41,7 @@ ENTRY_BYTES = 4
 ENTRIES_PER_LINE = 16
 #: Bits of the successor's set_id stored verbatim (2048-set LLC, Table 1).
 SET_ID_BITS = 11
+SET_ID_MASK = (1 << SET_ID_BITS) - 1
 #: Near-index capacity for ``index_mode="nonuniform"`` (entries).  Small
 #: by design: Trimma's point is that a tiny near level captures most
 #: lookups, not that the near level competes with the far array.
@@ -55,6 +56,7 @@ class MetadataEntry:
     next_compact: int  # compressed tag of the successor
     next_set_id: int  # set_id bits of the successor
     confidence: int = 1  # 1-bit counter guarding against noisy retraining
+    way: int = 0  # slot within the trigger's set (bounded stores)
 
 
 def _floor_pow2(n: int) -> int:
@@ -113,21 +115,20 @@ class MetadataStore:
         #: these are *not* counted into ``llc_accesses``.
         self.near_hits = 0
         self.unbounded = capacity_bytes is None
-        self._unbounded_map: Dict[int, MetadataEntry] = {}
         self.capacity_bytes = 0
         self.num_sets = 0
-        # Per-set fixed way arrays (stable way identity for the policy)
-        # plus a trigger->way index for O(1) lookup.  ``_free`` holds each
-        # set's unused ways as a descending stack: entries are only ever
-        # removed by eviction-and-replace, never freed individually, so a
-        # plain ``pop()`` yields the lowest free way with no scan.
-        self._ways: List[List[Optional[MetadataEntry]]] = []
-        self._index: List[Dict[int, int]] = []
-        self._free: List[List[int]] = []
+        #: trigger -> resident entry, for bounded and unbounded stores alike.
+        self._entries: Dict[int, MetadataEntry] = {}
+        #: Bounded stores: set index -> its entries in way order, created
+        #: on the set's first install.  Entries leave a set only by
+        #: eviction-and-replace, never one at a time, so a row's length is
+        #: both its occupancy and its lowest free way.
+        self._rows: Dict[int, List[MetadataEntry]] = {}
         self._policy: Optional[ReplacementPolicy] = None
-        #: The policy, when it is a sampling Hawkeye (hot-path shortcut for
-        #: :meth:`observe_access`, refreshed by :meth:`resize`).
+        #: The policy, when it is a sampling Hawkeye, and its sampled-set
+        #: stride (hot-path shortcuts, refreshed by :meth:`resize`).
         self._hawkeye: Optional[HawkeyePolicy] = None
+        self._sample_stride = 1
         if not self.unbounded:
             self.resize(capacity_bytes)
 
@@ -138,9 +139,6 @@ class MetadataStore:
         if self.unbounded:
             raise ValueError("unbounded store has no capacity")
         return self.num_sets * ENTRIES_PER_LINE
-
-    def _set_of(self, trigger: int) -> int:
-        return trigger & (self.num_sets - 1)
 
     def resize(self, capacity_bytes: int) -> None:
         """Re-provision the store to ``capacity_bytes``.
@@ -156,12 +154,7 @@ class MetadataStore:
             raise ValueError("cannot resize an unbounded store")
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        old_entries = [
-            entry
-            for ways in self._ways
-            for entry in ways
-            if entry is not None
-        ]
+        old_entries = self.entries()
         if self.events is not None:
             self.events.emit(
                 "meta_store.resize",
@@ -173,44 +166,39 @@ class MetadataStore:
         self.capacity_bytes = capacity_bytes
         self._near.clear()  # near copies would go stale across re-indexing
         self.num_sets = _floor_pow2(capacity_bytes // (ENTRY_BYTES * ENTRIES_PER_LINE))
-        self._ways = [[None] * ENTRIES_PER_LINE for _ in range(self.num_sets)]
-        self._index = [dict() for _ in range(self.num_sets)]
-        self._free = [
-            list(range(ENTRIES_PER_LINE - 1, -1, -1)) for _ in range(self.num_sets)
-        ]
+        self._entries = {}
+        self._rows = {}
+        self._policy = None
+        self._hawkeye = None
         if self.num_sets == 0:
-            self._policy = None
-            self._hawkeye = None
             return
         if self.policy_name == "hawkeye":
-            self._policy = HawkeyePolicy(
+            self._policy = self._hawkeye = HawkeyePolicy(
                 self.num_sets,
                 ENTRIES_PER_LINE,
                 predictor=self._predictor,
                 auto_observe=False,
             )
+            self._sample_stride = self._hawkeye.sample_stride
         elif self.policy_name == "lru":
             self._policy = LruPolicy(self.num_sets, ENTRIES_PER_LINE)
         elif self.policy_name == "reuse":
             self._policy = ReuseAwarePolicy(self.num_sets, ENTRIES_PER_LINE)
         else:
             raise ValueError(f"unsupported metadata policy {self.policy_name!r}")
-        self._hawkeye = (
-            self._policy if isinstance(self._policy, HawkeyePolicy) else None
-        )
+        # Survivors arrive in set-then-way order; each takes its new set's
+        # lowest free way while one is left.
+        mask = self.num_sets - 1
         for entry in old_entries:
-            set_idx = self._set_of(entry.trigger)
-            if len(self._index[set_idx]) < ENTRIES_PER_LINE:
-                self._install(entry, pc=0)
+            set_idx = entry.trigger & mask
+            row = self._rows.setdefault(set_idx, [])
+            if len(row) < ENTRIES_PER_LINE:
+                entry.way = len(row)
+                row.append(entry)
+                self._entries[entry.trigger] = entry
+                self._policy.on_fill(set_idx, entry.way, 0)
 
-    # -- successor encode/decode ------------------------------------------
-
-    def _encode(self, next_line: int) -> Tuple[int, int]:
-        set_id = next_line & ((1 << SET_ID_BITS) - 1)
-        tag = next_line >> SET_ID_BITS
-        if self.tag_table is not None:
-            return self.tag_table.compress(tag), set_id
-        return tag, set_id
+    # -- successor decode ----------------------------------------------------
 
     def _decode(self, entry: MetadataEntry) -> Optional[int]:
         if self.tag_table is not None:
@@ -248,26 +236,23 @@ class MetadataStore:
                     )
                 return self._decode(near)
         self.llc_accesses += 1
-        if self.unbounded:
-            entry = self._unbounded_map.get(trigger)
-            if entry is None:
-                return None
-        else:
-            if self.num_sets == 0:
-                return None
-            set_idx = trigger & (self.num_sets - 1)
-            way = self._index[set_idx].get(trigger)
-            if way is None:
-                return None
-            entry = self._ways[set_idx][way]
+        entry = self._entries.get(trigger)
+        if entry is None:
+            return None
         self.lookup_hits += 1
         if self.track_reuse:
             self.reuse_counts[trigger] = self.reuse_counts.get(trigger, 0) + 1
-        if not self.unbounded and self._policy is not None:
-            self._policy.on_hit(set_idx, way, pc)
+        policy = self._policy
+        if policy is not None:
+            policy.on_hit(trigger & (self.num_sets - 1), entry.way, pc)
         if self._near_capacity:
             self._near_insert(entry)
-        return self._decode(entry)
+        tag = entry.next_compact
+        if self.tag_table is not None:
+            tag = self.tag_table.expand(tag)
+            if tag is None:
+                return None  # compressed tag recycled away
+        return tag << SET_ID_BITS | entry.next_set_id
 
     def update(self, trigger: int, next_line: int, pc: int = 0) -> None:
         """Learn/refresh the correlation ``trigger -> next_line``.
@@ -278,37 +263,74 @@ class MetadataStore:
         """
         self.updates += 1
         self.llc_accesses += 1
-        compact, set_id = self._encode(next_line)
-        entry = self._find(trigger)
-        if entry is not None:
-            if entry.next_compact == compact and entry.next_set_id == set_id:
-                self.update_agreements += 1
-                entry.confidence = 1
-            elif entry.confidence > 0:
-                self.update_conflicts += 1
-                entry.confidence = 0
+        # The successor's tag is compressed even when nothing is stored:
+        # the table's LRU order is part of the model.
+        set_id = next_line & SET_ID_MASK
+        compact = next_line >> SET_ID_BITS
+        if self.tag_table is not None:
+            compact = self.tag_table.compress(compact)
+        entries = self._entries
+        entry = entries.get(trigger)
+        if entry is None:
+            if self.unbounded:
+                entries[trigger] = MetadataEntry(trigger, compact, set_id)
+                self.inserts += 1
+                return
+            num_sets = self.num_sets
+            if not num_sets:
+                return  # zero-capacity store: metadata is discarded
+            set_idx = trigger & (num_sets - 1)
+            row = self._rows.get(set_idx)
+            if row is None:
+                row = self._rows[set_idx] = []
+            way = len(row)
+            policy = self._policy
+            entry = MetadataEntry(trigger, compact, set_id, 1, way)
+            if way < ENTRIES_PER_LINE:
+                row.append(entry)
             else:
-                self.update_conflicts += 1
-                entry.next_compact = compact
-                entry.next_set_id = set_id
-                entry.confidence = 1
-            self.observe_access(trigger, pc)
-            return
-        new_entry = MetadataEntry(trigger, compact, set_id)
-        if self.unbounded:
-            self._unbounded_map[trigger] = new_entry
+                way = entry.way = policy.victim(set_idx, pc)
+                victim = row[way]
+                del entries[victim.trigger]
+                self._near.pop(victim.trigger, None)  # drop stale near copy
+                policy.on_evict(set_idx, way)
+                self.evictions += 1
+                if self.events is not None:
+                    self.events.emit(
+                        "meta_store.evict",
+                        "debug",
+                        set=set_idx,
+                        way=way,
+                        trigger=victim.trigger,
+                    )
+                row[way] = entry
+            entries[trigger] = entry
+            policy.on_fill(set_idx, way, pc)
             self.inserts += 1
-            return
-        if self.num_sets == 0:
-            return  # zero-capacity store: metadata is discarded
-        self._install(new_entry, pc)
-        self.inserts += 1
-        self.observe_access(trigger, pc)
+        elif entry.next_compact == compact and entry.next_set_id == set_id:
+            self.update_agreements += 1
+            entry.confidence = 1
+        elif entry.confidence > 0:
+            self.update_conflicts += 1
+            entry.confidence = 0
+        else:
+            self.update_conflicts += 1
+            entry.next_compact = compact
+            entry.next_set_id = set_id
+            entry.confidence = 1
+        hawkeye = self._hawkeye
+        if hawkeye is not None:
+            set_idx = trigger & (self.num_sets - 1)
+            if not set_idx % self._sample_stride:
+                hawkeye.observe(set_idx, trigger, pc)
 
     def observe_access(self, trigger: int, pc: int) -> None:
         """Feed one metadata access to the Hawkeye sampler (if active)."""
-        if self._hawkeye is not None:
-            self._hawkeye.observe(trigger & (self.num_sets - 1), trigger, pc)
+        hawkeye = self._hawkeye
+        if hawkeye is not None:
+            set_idx = trigger & (self.num_sets - 1)
+            if not set_idx % self._sample_stride:
+                hawkeye.observe(set_idx, trigger, pc)
 
     def record_prefetch_outcome(self, trigger: int, pc: int, redundant: bool) -> None:
         """Delayed training: count the metadata access behind a prefetch.
@@ -331,18 +353,17 @@ class MetadataStore:
         return self.update_agreements / total if total >= 64 else 1.0
 
     def contains(self, trigger: int) -> bool:
-        return self._find(trigger) is not None
+        return trigger in self._entries
 
     def occupancy(self) -> int:
-        if self.unbounded:
-            return len(self._unbounded_map)
-        return sum(len(index) for index in self._index)
+        return len(self._entries)
 
     def entries(self) -> List[MetadataEntry]:
-        """All resident entries (test/analysis helper)."""
+        """All resident entries, in set-then-way order for a bounded store."""
         if self.unbounded:
-            return list(self._unbounded_map.values())
-        return [e for ways in self._ways for e in ways if e is not None]
+            return list(self._entries.values())
+        rows = self._rows
+        return [entry for set_idx in sorted(rows) for entry in rows[set_idx]]
 
     # -- internals -----------------------------------------------------------
 
@@ -354,40 +375,4 @@ class MetadataStore:
             self._near.popitem(last=False)
 
     def _find(self, trigger: int) -> Optional[MetadataEntry]:
-        if self.unbounded:
-            return self._unbounded_map.get(trigger)
-        if self.num_sets == 0:
-            return None
-        set_idx = self._set_of(trigger)
-        way = self._index[set_idx].get(trigger)
-        return self._ways[set_idx][way] if way is not None else None
-
-    def _install(self, entry: MetadataEntry, pc: int) -> None:
-        set_idx = self._set_of(entry.trigger)
-        ways = self._ways[set_idx]
-        index = self._index[set_idx]
-        free = self._free[set_idx]
-        if free:
-            way = free.pop()
-        else:
-            assert self._policy is not None
-            way = self._policy.victim(set_idx, pc)
-            victim = ways[way]
-            assert victim is not None
-            del index[victim.trigger]
-            self._near.pop(victim.trigger, None)  # drop stale near copy
-            self._policy.on_evict(set_idx, way)
-            self.evictions += 1
-            if self.events is not None:
-                self.events.emit(
-                    "meta_store.evict",
-                    "debug",
-                    set=set_idx,
-                    way=way,
-                    trigger=victim.trigger,
-                )
-        ways[way] = entry
-        index[entry.trigger] = way
-        if self._policy is not None:
-            self._policy.set_line_key(set_idx, way, entry.trigger)
-            self._policy.on_fill(set_idx, way, pc)
+        return self._entries.get(trigger)

@@ -163,54 +163,60 @@ class TriagePrefetcher(BasePrefetcher):
 
         # Prediction: walk the successor chain up to `degree` hops.  Each
         # hop is a metadata lookup (an LLC access in hardware).
+        store = self.store
+        controller = self.controller
         candidates: List[PrefetchCandidate] = []
         trigger = line
         for _ in range(self.degree):
-            self._note_controller_access(trigger)
-            successor = self.store.lookup(trigger, stream_pc)
+            if controller is not None:
+                self._note_controller_access(trigger)
+            successor = store.lookup(trigger, stream_pc)
             if successor is None:
                 # A lookup miss is a metadata access that, by definition,
                 # cannot produce a redundant prefetch: train immediately.
-                self.store.observe_access(trigger, stream_pc)
+                store.observe_access(trigger, stream_pc)
                 break
             candidates.append(
                 PrefetchCandidate(successor, context=(trigger, stream_pc), owner=self)
             )
             trigger = successor
-        self.metadata_llc_accesses = self.store.llc_accesses
+        self.metadata_llc_accesses = store.llc_accesses
 
         # Training: correlate with this PC's previous access.
         prev = self.training_unit.observe(stream_pc, line)
         if prev is not None and prev != line:
             if self.config.use_confidence:
-                self.store.update(prev, line, stream_pc)
+                store.update(prev, line, stream_pc)
             else:
                 self._update_unconditionally(prev, line, stream_pc)
 
-        self._apply_pending_partition()
+        if self._pending_capacity is not None:
+            self._apply_pending_partition()
         if profile is not None:
             self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
 
     def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
-        trigger, stream_pc = candidate.context
-        self.store.record_prefetch_outcome(
-            trigger, stream_pc, redundant=(source == "redundant")
-        )
+        # MetadataStore.record_prefetch_outcome, one call shorter: only a
+        # non-redundant prefetch trains the store's sampler.
+        if source != "redundant":
+            self.store.observe_access(*candidate.context)
 
     # -- dynamic partitioning --------------------------------------------------
 
     def _note_controller_access(self, trigger: int) -> None:
-        if self.controller is None:
-            return
+        """Count one metadata access toward the controller's epoch.
+
+        Callers test for a controller first (static stores have none).
+        """
         decision = self.controller.note_access(trigger)
         if decision is not None and decision.changed:
             self._pending_capacity = decision.capacity_bytes
 
     def _apply_pending_partition(self) -> None:
+        """Resize the store to the pending capacity (callers test that
+        one is pending) and tell the engine to move the LLC ways."""
         pending = self._pending_capacity
-        if pending is None:
-            return
         self._pending_capacity = None
         self.store.resize(pending)
         if self.on_partition_change is not None:

@@ -10,7 +10,8 @@ the paper's names ("Triage_512KB", "Triage_1MB").
 
 Simulation results are memoized per (workload, prefetcher, machine) so
 figures that share configurations (e.g. Figures 5, 6 and 12) reuse runs
-within one process.
+within one process.  Traces are memoized too, multi-core ones included:
+every configuration run on a mix reads the same per-core traces.
 """
 
 from __future__ import annotations
@@ -187,6 +188,24 @@ def get_trace(bench: str, n: int, seed: int = 1, suite: str = "spec"):
     return _TRACE_CACHE[key]
 
 
+def _core_trace(suite: str, bench: str, n: int, seed: int, arena: int):
+    """One core's trace for a multi-core run, on the multi-core machine.
+
+    Memoized in the process tier of :data:`_TRACE_CACHE`, so every
+    configuration run on a mix shares its traces.  The key carries the
+    arena, so it never collides with a single-core key.
+    """
+    key = (suite, bench, n, seed, MULTI_SCALE, arena)
+    trace = _TRACE_CACHE.get(key)
+    if trace is None:
+        maker = spec.make_trace if suite == "spec" else cloudsuite.make_trace
+        with _trace_gen_phase():
+            trace = _TRACE_CACHE[key] = maker(
+                bench, n_accesses=n, seed=seed, arena=arena, scale=MULTI_SCALE
+            )
+    return trace
+
+
 def run_single(
     bench: str,
     prefetcher: str,
@@ -306,15 +325,12 @@ def run_mix(
 ) -> MultiCoreResult:
     """One multi-core mix run on the multi-core scaled machine."""
     machine = MachineConfig.scaled(MULTI_SCALE, n_cores=n_cores)
-    with _trace_gen_phase():
-        traces = mixes.make_mix(
-            n_cores,
-            mix_seed,
-            n_accesses_per_core=n_per_core,
-            irregular_only=irregular_only,
-            names=names,
-            scale=MULTI_SCALE,
+    traces = [
+        _core_trace("spec", name, n_per_core, trace_seed, arena)
+        for name, trace_seed, arena in mixes.mix_cores(
+            n_cores, mix_seed, irregular_only, names
         )
+    ]
     # A callable spec builds one fresh prefetcher per core.  Half the run
     # is warmup, as in the paper's multi-core methodology (warm 30 M,
     # measure 30 M).
@@ -454,17 +470,10 @@ def run_cloudsuite_4core(
     if key in _MIX_CACHE:
         return _MIX_CACHE[key]
     machine = MachineConfig.scaled(MULTI_SCALE, n_cores=4)
-    with _trace_gen_phase():
-        traces = [
-            cloudsuite.make_trace(
-                bench,
-                n_accesses=n_per_core,
-                seed=10 + core,
-                arena=2000 + core * 40,
-                scale=MULTI_SCALE,
-            )
-            for core in range(4)
-        ]
+    traces = [
+        _core_trace("cloudsuite", bench, n_per_core, 10 + core, 2000 + core * 40)
+        for core in range(4)
+    ]
     result = simulate_multicore(
         traces,
         lambda: make_spec(prefetcher, degree, scale=MULTI_SCALE),

@@ -12,7 +12,7 @@ from repro.memory.address import (
 )
 from repro.memory.cache import AccessOutcome, Cache, CacheLine, LruCache
 from repro.memory.dram import DramModel, TrafficCounter
-from repro.memory.hierarchy import CacheHierarchy, HierarchyEvent
+from repro.memory.hierarchy import CacheHierarchy, trains_l2_prefetcher
 
 __all__ = [
     "AccessOutcome",
@@ -20,7 +20,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheLine",
     "DramModel",
-    "HierarchyEvent",
     "LINE_SHIFT",
     "LINE_SIZE",
     "LruCache",
@@ -31,4 +30,5 @@ __all__ = [
     "region_offset",
     "set_index",
     "tag_bits",
+    "trains_l2_prefetcher",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.memory.address import LINE_SIZE
 from repro.memory.cache import (
@@ -30,33 +30,25 @@ from repro.replacement.base import ReplacementPolicy
 #: Levels an access can be satisfied at.
 LEVELS = ("l1", "l2", "llc", "dram")
 
+#: What :meth:`CacheHierarchy.access` returns: ``(hit_level,
+#: prefetch_hit_kind)``.  ``hit_level`` is one of :data:`LEVELS`;
+#: ``prefetch_hit_kind`` is the prefetcher kind (``"l1"``/``"l2"``) when
+#: the access was the first demand touch of a prefetched L2 line, else
+#: None.
+Outcome = Tuple[str, Optional[str]]
 
-@dataclass(slots=True)
-class HierarchyEvent:
-    """Outcome of one demand access, consumed by prefetcher training."""
+#: The outcome of every L1 hit (L1 lines are never prefetched).
+L1_HIT: Outcome = ("l1", None)
 
-    core: int
-    pc: int
-    line: int
-    hit_level: str  # one of LEVELS
-    #: Prefetcher kind ("l1"/"l2") if this was the first demand touch of
-    #: a prefetched L2 line, else None.
-    prefetch_hit_kind: Optional[str] = None
-    is_write: bool = False
 
-    @property
-    def l2_prefetch_hit(self) -> bool:
-        """Demand hit on a line the *L2* prefetcher brought in."""
-        return self.prefetch_hit_kind == "l2"
+def trains_l2_prefetcher(hit_level: str, prefetch_hit_kind: Optional[str]) -> bool:
+    """True when an access outcome is part of the L2 miss + prefetch-hit
+    stream the L2 prefetcher trains on (paper Figure 4).
 
-    @property
-    def trains_l2_prefetcher(self) -> bool:
-        """True when this event is part of the L2 miss + prefetch-hit stream.
-
-        The per-access simulation engines inline this condition (a
-        property costs a call frame per access); keep them in sync.
-        """
-        return self.hit_level in ("llc", "dram") or self.prefetch_hit_kind is not None
+    The analytic engines inline this test (a call per access costs a
+    frame); keep them in sync.
+    """
+    return prefetch_hit_kind is not None or hit_level in ("llc", "dram")
 
 
 @dataclass(slots=True)
@@ -133,8 +125,12 @@ class CacheHierarchy:
 
     def access(
         self, core: int, pc: int, addr: int, is_write: bool = False
-    ) -> HierarchyEvent:
-        """Issue one demand access (byte address) from ``core``."""
+    ) -> Outcome:
+        """Issue one demand access (byte address) from ``core``.
+
+        Returns ``(hit_level, prefetch_hit_kind)`` (see :data:`Outcome`);
+        the caller already holds ``pc`` and the line, ``addr >> 6``.
+        """
         line = addr >> 6
         counters = self.counters[core]
         counters.accesses += 1
@@ -146,7 +142,7 @@ class CacheHierarchy:
             # L1 lines are never prefetched (prefetches fill L2 only).
             lines[line] = state | DIRTY if is_write else state
             counters.l1_hits += 1
-            return HierarchyEvent(core, pc, line, "l1", None, is_write)
+            return L1_HIT
 
         l2 = self.l2s[core]
         lines = l2.sets[line & l2.set_mask]
@@ -166,22 +162,22 @@ class CacheHierarchy:
             lines[line] = state
             counters.l2_hits += 1
             self._fill_l1(core, line, DIRTY if is_write else 0)
-            return HierarchyEvent(core, pc, line, "l2", kind, is_write)
+            return "l2", kind
 
         if self.llc.access(line, pc).hit:
             counters.llc_hits += 1
-            hit_level = "llc"
+            outcome = ("llc", None)
         else:
             counters.dram_accesses += 1
             self._bytes["demand"] += LINE_SIZE
             victim = self.llc.fill(line, pc)
             if victim is not None and victim[1]:
                 self._bytes["writeback"] += LINE_SIZE
-            hit_level = "dram"
+            outcome = ("dram", None)
         dirty = DIRTY if is_write else 0
         self._fill_l2(core, line, dirty)
         self._fill_l1(core, line, dirty)
-        return HierarchyEvent(core, pc, line, hit_level, None, is_write)
+        return outcome
 
     # -- prefetch path ---------------------------------------------------------
 

@@ -190,7 +190,8 @@ class TriangelPrefetcher(TriagePrefetcher):
         if prev is not None and prev != line:
             self._train(prev, line, stream_pc)
 
-        self._apply_pending_partition()
+        if self._pending_capacity is not None:
+            self._apply_pending_partition()
         if profile is not None:
             self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
@@ -207,14 +208,17 @@ class TriangelPrefetcher(TriagePrefetcher):
         never emitted twice from one walk, and a chain that loops back
         onto itself terminates the walk instead of re-issuing.
         """
+        store = self.store
+        controller = self.controller
         candidates: List[PrefetchCandidate] = []
         seen = {trigger}  # trigger itself plus every line the walk visited
         cursor = trigger
         for _ in range(self.config.lookahead - 1 + self.degree):
-            self._note_controller_access(cursor)
-            successor = self.store.lookup(cursor, stream_pc)
+            if controller is not None:
+                self._note_controller_access(cursor)
+            successor = store.lookup(cursor, stream_pc)
             if successor is None:
-                self.store.observe_access(cursor, stream_pc)
+                store.observe_access(cursor, stream_pc)
                 break
             if successor in seen:
                 break  # chain loop: never re-issue an in-flight line

@@ -14,6 +14,10 @@ set with a free way never needs a victim), so the policy picks from its
 own per-way state instead of receiving a candidates list.  Owners that
 deactivate ways (LLC way partitioning) keep ``num_ways`` in sync via
 :meth:`resize_ways`.
+
+LRU, Hawkeye and the reuse-aware policy keep their per-way state in flat
+lists, one slot per ``(set, way)`` at ``set_idx * num_ways + way``, so
+building a policy allocates a handful of lists rather than one per set.
 """
 
 from __future__ import annotations
@@ -66,3 +70,17 @@ class ReplacementPolicy:
         rows so :meth:`victim` never considers a deactivated way.
         """
         self.num_ways = num_ways
+
+    def _resized(self, flat: list, num_ways: int, fresh) -> list:
+        """``flat`` per-way state cut from rows of ``self.num_ways`` into
+        rows of ``num_ways``: a shrink truncates every set's row, a grow
+        pads it with ``fresh``, so re-enabled ways never show stale state.
+        """
+        ways = self.num_ways
+        keep = min(ways, num_ways)
+        pad = [fresh] * (num_ways - keep)
+        resized: list = []
+        for set_idx in range(self.num_sets):
+            resized += flat[set_idx * ways : set_idx * ways + keep]
+            resized += pad
+        return resized

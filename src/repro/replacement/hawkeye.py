@@ -63,6 +63,10 @@ class HawkeyePredictor:
         return self._counters.get(self._index(pc), self.THRESHOLD) >= self.THRESHOLD
 
 
+#: A PC's counter predicts cache-friendly at or above this value.
+THRESHOLD = HawkeyePredictor.THRESHOLD
+
+
 class HawkeyePolicy(ReplacementPolicy):
     """RRIP-style policy driven by a Hawkeye predictor and OPTgen sampler.
 
@@ -87,12 +91,15 @@ class HawkeyePolicy(ReplacementPolicy):
         #: metadata accesses that produced redundant prefetches (paper
         #: Section 3.1).
         self.auto_observe = auto_observe
-        self._rrpv = [[MAX_RRPV] * num_ways for _ in range(num_sets)]
-        self._line_pc = [[0] * num_ways for _ in range(num_sets)]
-        stride = max(1, num_sets // target_sampled_sets)
-        self._sample_stride = stride
+        #: RRPV and last PC per way, flat (``set_idx * num_ways + way``).
+        self._rrpv = [MAX_RRPV] * (num_sets * num_ways)
+        self._line_pc = [0] * (num_sets * num_ways)
+        #: Sets ``0, stride, 2*stride, ...`` feed OPTgen, so a set is
+        #: sampled exactly when ``set_idx % sample_stride == 0``.
+        self.sample_stride = max(1, num_sets // target_sampled_sets)
         self._samplers: Dict[int, OptGen] = {
-            s: OptGen(num_ways, history_mult) for s in range(0, num_sets, stride)
+            s: OptGen(num_ways, history_mult)
+            for s in range(0, num_sets, self.sample_stride)
         }
         # Last PC to touch each sampled key, so OPT's verdict credits the
         # load that brought the line in, not the one re-referencing it.
@@ -100,7 +107,8 @@ class HawkeyePolicy(ReplacementPolicy):
             s: {} for s in self._samplers
         }
         # Identity of the line occupying each (set, way), set by the cache
-        # on fill, so the OPTgen sampler keys by line address.
+        # on fill, so the OPTgen sampler keys by line address.  Read only
+        # under ``auto_observe``.
         self._line_keys: Dict[int, Dict[int, int]] = {}
 
     # -- sampler ---------------------------------------------------------
@@ -122,56 +130,64 @@ class HawkeyePolicy(ReplacementPolicy):
             last_pcs.clear()
 
     # -- ReplacementPolicy interface --------------------------------------
+    #
+    # on_hit/on_fill run on every metadata-store hit and install, so they
+    # read the predictor's counter directly (HawkeyePredictor.predict
+    # inlined, index hash included).
 
     def on_hit(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
         pc = pc or 0
-        if self.auto_observe:
+        if self.auto_observe and set_idx in self._samplers:
             self.observe(set_idx, self._line_key(set_idx, way), pc)
-        self._line_pc[set_idx][way] = pc
-        if self.predictor.predict(pc):
-            self._rrpv[set_idx][way] = 0
+        slot = set_idx * self.num_ways + way
+        self._line_pc[slot] = pc
+        predictor = self.predictor
+        if (
+            predictor._counters.get((pc ^ pc >> 13 ^ pc >> 26) & predictor.mask, THRESHOLD)
+            >= THRESHOLD
+        ):
+            self._rrpv[slot] = 0
         else:
-            self._rrpv[set_idx][way] = MAX_RRPV
+            self._rrpv[slot] = MAX_RRPV
 
     def on_fill(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
         pc = pc or 0
-        if self.auto_observe:
+        if self.auto_observe and set_idx in self._samplers:
             self.observe(set_idx, self._line_key(set_idx, way), pc)
-        self._line_pc[set_idx][way] = pc
-        if self.predictor.predict(pc):
+        ways = self.num_ways
+        base = set_idx * ways
+        self._line_pc[base + way] = pc
+        predictor = self.predictor
+        rrpv = self._rrpv
+        if (
+            predictor._counters.get((pc ^ pc >> 13 ^ pc >> 26) & predictor.mask, THRESHOLD)
+            >= THRESHOLD
+        ):
             # Friendly insertion: age everyone else so stale friendly
             # lines eventually become evictable.
-            row = self._rrpv[set_idx]
-            for w in range(len(row)):
-                if w != way and row[w] < MAX_RRPV - 1:
-                    row[w] += 1
-            row[way] = 0
+            rrpv[base : base + ways] = [
+                r + 1 if r < MAX_RRPV - 1 else r for r in rrpv[base : base + ways]
+            ]
+            rrpv[base + way] = 0
         else:
-            self._rrpv[set_idx][way] = MAX_RRPV
+            rrpv[base + way] = MAX_RRPV
 
     def on_evict(self, set_idx: int, way: int) -> None:
-        self._rrpv[set_idx][way] = MAX_RRPV
+        self._rrpv[set_idx * self.num_ways + way] = MAX_RRPV
 
     def victim(self, set_idx: int, pc: Optional[int] = None) -> int:
-        row = self._rrpv[set_idx]
+        base = set_idx * self.num_ways
+        row = self._rrpv[base : base + self.num_ways]
         best = row.index(max(row))
         if row[best] < MAX_RRPV:
             # Evicting a line the predictor liked: detrain its PC.
-            self.predictor.train(self._line_pc[set_idx][best], False)
+            self.predictor.train(self._line_pc[base + best], False)
         return best
 
     def resize_ways(self, num_ways: int) -> None:
-        if num_ways > self.num_ways:
-            grow = num_ways - self.num_ways
-            for row in self._rrpv:
-                row.extend([MAX_RRPV] * grow)
-            for row in self._line_pc:
-                row.extend([0] * grow)
-        elif num_ways < self.num_ways:
-            for row in self._rrpv:
-                del row[num_ways:]
-            for row in self._line_pc:
-                del row[num_ways:]
+        self._rrpv = self._resized(self._rrpv, num_ways, MAX_RRPV)
+        self._line_pc = self._resized(self._line_pc, num_ways, 0)
+        if num_ways < self.num_ways:
             for keys in self._line_keys.values():
                 for way in [w for w in keys if w >= num_ways]:
                     del keys[way]

@@ -17,42 +17,39 @@ class LruPolicy(ReplacementPolicy):
 
     Recency is tracked with a per-set monotone timestamp, which is cheaper
     in Python than maintaining an explicit recency stack and behaves
-    identically.  :meth:`victim` is two C-level passes over a 16-ish
-    element list (``min`` + ``list.index``) -- no per-way lambda calls,
-    no candidates list -- and ties (only possible between never-touched
+    identically.  :meth:`victim` is two C-level passes over a slice of
+    the set's 16-ish timestamps (``min`` + ``list.index``) -- no per-way
+    lambda calls, no candidates list -- and ties (only possible between never-touched
     ways, since live timestamps are unique) break toward the lowest way.
     """
 
     def __init__(self, num_sets: int, num_ways: int):
         super().__init__(num_sets, num_ways)
         self._clock = 0
-        self._last_touch = [[-1] * num_ways for _ in range(num_sets)]
+        #: Last touch per way, flat (``set_idx * num_ways + way``); -1 is
+        #: never touched.
+        self._last_touch = [-1] * (num_sets * num_ways)
 
     def on_hit(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
         # Inlined (rather than sharing a _touch helper): these two hooks
         # run on every metadata-store hit and install.
         self._clock += 1
-        self._last_touch[set_idx][way] = self._clock
+        self._last_touch[set_idx * self.num_ways + way] = self._clock
 
     def on_fill(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
         self._clock += 1
-        self._last_touch[set_idx][way] = self._clock
+        self._last_touch[set_idx * self.num_ways + way] = self._clock
 
     def on_evict(self, set_idx: int, way: int) -> None:
-        self._last_touch[set_idx][way] = -1
+        self._last_touch[set_idx * self.num_ways + way] = -1
 
     def victim(self, set_idx: int, pc: Optional[int] = None) -> int:
-        touches = self._last_touch[set_idx]
+        base = set_idx * self.num_ways
+        touches = self._last_touch[base : base + self.num_ways]
         return touches.index(min(touches))
 
     def resize_ways(self, num_ways: int) -> None:
-        if num_ways > self.num_ways:
-            grow = num_ways - self.num_ways
-            for row in self._last_touch:
-                row.extend([-1] * grow)
-        elif num_ways < self.num_ways:
-            # Truncate, so a future grow re-extends with fresh -1 entries
-            # instead of re-exposing stale timestamps as fake recency.
-            for row in self._last_touch:
-                del row[num_ways:]
+        # A shrink truncates and a grow pads with -1, so re-enabled ways
+        # never re-expose stale timestamps as fake recency.
+        self._last_touch = self._resized(self._last_touch, num_ways, -1)
         super().resize_ways(num_ways)

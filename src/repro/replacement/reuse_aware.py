@@ -34,51 +34,47 @@ class ReuseAwarePolicy(ReplacementPolicy):
     Victim selection minimizes the tuple ``(reuse, last_touch)`` over the
     set's ways: a way that was never hit (``reuse == 0``) always loses to
     one that was, and among equally-reused ways the one touched longest
-    ago goes first.  Both passes are C-level (``min`` + ``list.index``)
-    per the O(1)-per-fill discipline established for the other policies.
+    ago goes first.  Both passes are C-level (``min`` + ``list.index``
+    over the set's slice of the flat state) per the O(1)-per-fill
+    discipline established for the other policies.
     """
 
     def __init__(self, num_sets: int, num_ways: int):
         super().__init__(num_sets, num_ways)
         self._clock = 0
-        self._reuse = [[0] * num_ways for _ in range(num_sets)]
-        self._last_touch = [[-1] * num_ways for _ in range(num_sets)]
+        #: Per-way reuse counters and last touches, flat
+        #: (``set_idx * num_ways + way``).
+        self._reuse = [0] * (num_sets * num_ways)
+        self._last_touch = [-1] * (num_sets * num_ways)
 
     def on_hit(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
+        slot = set_idx * self.num_ways + way
         self._clock += 1
-        self._last_touch[set_idx][way] = self._clock
-        reuse = self._reuse[set_idx]
-        if reuse[way] < REUSE_CAP:
-            reuse[way] += 1
+        self._last_touch[slot] = self._clock
+        if self._reuse[slot] < REUSE_CAP:
+            self._reuse[slot] += 1
 
     def on_fill(self, set_idx: int, way: int, pc: Optional[int] = None) -> None:
+        slot = set_idx * self.num_ways + way
         self._clock += 1
-        self._last_touch[set_idx][way] = self._clock
-        self._reuse[set_idx][way] = 0
+        self._last_touch[slot] = self._clock
+        self._reuse[slot] = 0
 
     def on_evict(self, set_idx: int, way: int) -> None:
-        self._last_touch[set_idx][way] = -1
-        self._reuse[set_idx][way] = 0
+        slot = set_idx * self.num_ways + way
+        self._last_touch[slot] = -1
+        self._reuse[slot] = 0
 
     def victim(self, set_idx: int, pc: Optional[int] = None) -> int:
-        reuse = self._reuse[set_idx]
-        touches = self._last_touch[set_idx]
-        scores = [(reuse[w], touches[w]) for w in range(self.num_ways)]
+        base = set_idx * self.num_ways
+        end = base + self.num_ways
+        scores = list(zip(self._reuse[base:end], self._last_touch[base:end]))
         return scores.index(min(scores))
 
     def resize_ways(self, num_ways: int) -> None:
-        if num_ways > self.num_ways:
-            grow = num_ways - self.num_ways
-            for row in self._last_touch:
-                row.extend([-1] * grow)
-            for row in self._reuse:
-                row.extend([0] * grow)
-        elif num_ways < self.num_ways:
-            # Truncate (same contract as LruPolicy): a future grow must
-            # re-extend with fresh state, never re-expose stale counters
-            # as fake reuse.
-            for row in self._last_touch:
-                del row[num_ways:]
-            for row in self._reuse:
-                del row[num_ways:]
+        # Truncate (same contract as LruPolicy): a future grow must
+        # re-extend with fresh state, never re-expose stale counters as
+        # fake reuse.
+        self._last_touch = self._resized(self._last_touch, num_ways, -1)
+        self._reuse = self._resized(self._reuse, num_ways, 0)
         super().resize_ways(num_ways)

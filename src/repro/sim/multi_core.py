@@ -236,31 +236,30 @@ def simulate_multicore(
             positions[core] = (positions[core] + 1) % len(core_records)
             if profiling:
                 t0 = time.perf_counter()
-            event = access(core, pc, addr, is_write)
+            hit_level, prefetch_kind = access(core, pc, addr, is_write)
             if profiling:
                 t_stream += time.perf_counter() - t0
+            line = addr >> 6
             l1_observe = l1_observes[core]
             if l1_observe is not None:
                 if profiling:
                     t0 = time.perf_counter()
-                for candidate in l1_observe(pc, event.line):
+                for candidate in l1_observe(pc, line):
                     prefetch(core, candidate.line, pc, kind="l1")
                 if profiling:
                     t_l1pf += time.perf_counter() - t0
             pf = prefetchers[core]
-            # Inlined event.trains_l2_prefetcher (property call per access).
+            # Inlined hierarchy.trains_l2_prefetcher (a call per access).
             if pf is not None and (
-                event.prefetch_hit_kind is not None
-                or event.hit_level in ("llc", "dram")
+                prefetch_kind is not None or hit_level in ("llc", "dram")
             ):
                 if profiling:
                     t0 = time.perf_counter()
                 candidates = pf.observe(
-                    event.pc, event.line,
-                    prefetch_hit=event.prefetch_hit_kind == "l2",
+                    pc, line, prefetch_hit=prefetch_kind == "l2"
                 )
                 for candidate in candidates:
-                    source = prefetch(core, candidate.line, event.pc)
+                    source = prefetch(core, candidate.line, pc)
                     owner = candidate.owner or pf
                     owner.feedback(candidate, source)
                 metadata_bytes = pf.drain_metadata_traffic()

@@ -25,7 +25,7 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, trains_l2_prefetcher
 from repro.obs import ObsSession, RunObserver, get_session
 from repro.obs.manifest import build_manifest
 from repro.prefetchers.hybrid import HybridPrefetcher
@@ -165,11 +165,11 @@ def simulate_queued(
         now += trace.instr_per_access * config.base_cpi
         drain_completions()
 
-        event = hierarchy.access(0, pc, addr, is_write)
-        line = event.line
-        if event.hit_level == "l1":
+        hit_level, prefetch_kind = hierarchy.access(0, pc, addr, is_write)
+        line = addr >> 6
+        if hit_level == "l1":
             pass
-        elif event.hit_level == "l2":
+        elif hit_level == "l2":
             pending = ready_at.pop(line, None)
             if pending is not None and pending > now:
                 # Late prefetch: wait out the in-flight remainder.
@@ -178,7 +178,7 @@ def simulate_queued(
                 heapq.heappush(outstanding, pending)
             else:
                 now += config.l2_latency / trace.mlp
-        elif event.hit_level == "llc":
+        elif hit_level == "llc":
             wait_for_window()
             heapq.heappush(outstanding, now + llc_latency)
         else:  # DRAM
@@ -202,16 +202,14 @@ def simulate_queued(
                 elif source == "llc":
                     ready_at[candidate.line] = now + llc_latency
 
-        if pf is not None and event.trains_l2_prefetcher:
-            candidates = pf.observe(
-                event.pc, event.line, prefetch_hit=event.l2_prefetch_hit
-            )
+        if pf is not None and trains_l2_prefetcher(hit_level, prefetch_kind):
+            candidates = pf.observe(pc, line, prefetch_hit=prefetch_kind == "l2")
             for candidate in candidates:
                 # Bounded prefetch queue: drop when saturated.
                 if prefetch_queue_free - now > prefetch_queue_depth * 10.0:
                     dropped_prefetches += 1
                     continue
-                source = hierarchy.prefetch(0, candidate.line, event.pc)
+                source = hierarchy.prefetch(0, candidate.line, pc)
                 owner = candidate.owner or pf
                 owner.feedback(candidate, source)
                 if source == "dram":

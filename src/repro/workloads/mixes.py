@@ -10,7 +10,7 @@ copies of the same benchmark never share data.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.workloads.base import Trace
 from repro.workloads.spec import IRREGULAR_SPEC, MEMORY_BOUND, make_trace
@@ -25,6 +25,28 @@ def mix_names(
     return [pool[rng.randrange(len(pool))] for _ in range(n_cores)]
 
 
+def mix_cores(
+    n_cores: int,
+    seed: int,
+    irregular_only: bool = False,
+    names: Optional[List[str]] = None,
+) -> List[Tuple[str, int, int]]:
+    """Each core's ``(benchmark, trace seed, arena)`` for one mix.
+
+    Each core gets its own arena (offset by the core index) so identical
+    benchmarks on different cores touch disjoint memory, as separate
+    processes would.
+    """
+    if names is None:
+        names = mix_names(n_cores, seed, irregular_only)
+    if len(names) != n_cores:
+        raise ValueError("names must have one benchmark per core")
+    return [
+        (name, seed * 97 + core, 1000 + core * 40 + (seed % 7))
+        for core, name in enumerate(names)
+    ]
+
+
 def make_mix(
     n_cores: int,
     seed: int,
@@ -35,24 +57,14 @@ def make_mix(
 ) -> List[Trace]:
     """Build one multi-programmed mix: one trace per core.
 
-    Each core gets its own arena (offset by the core index) so identical
-    benchmarks on different cores touch disjoint memory, as separate
-    processes would.  ``scale`` shrinks working sets to match a scaled
-    machine (see :data:`repro.workloads.spec.SCALE_DEFAULT`).
+    The cores' benchmarks, seeds and arenas come from :func:`mix_cores`.
+    ``scale`` shrinks working sets to match a scaled machine (see
+    :data:`repro.workloads.spec.SCALE_DEFAULT`).
     """
-    if names is None:
-        names = mix_names(n_cores, seed, irregular_only)
-    if len(names) != n_cores:
-        raise ValueError("names must have one benchmark per core")
-    traces = []
-    for core, name in enumerate(names):
-        traces.append(
-            make_trace(
-                name,
-                n_accesses=n_accesses_per_core,
-                seed=seed * 97 + core,
-                arena=1000 + core * 40 + (seed % 7),
-                scale=scale,
-            )
+    return [
+        make_trace(
+            name, n_accesses=n_accesses_per_core, seed=trace_seed, arena=arena,
+            scale=scale,
         )
-    return traces
+        for name, trace_seed, arena in mix_cores(n_cores, seed, irregular_only, names)
+    ]

@@ -94,4 +94,6 @@ def test_resize_ways_extends_state():
     policy = HawkeyePolicy(2, 2)
     policy.resize_ways(4)
     policy.on_fill(0, 3, pc=1)
-    assert policy._rrpv[0][3] in (0, MAX_RRPV)
+    # Per-way state is flat: set 0's way 3 is slot 0 * num_ways + 3.
+    assert len(policy._rrpv) == 2 * 4
+    assert policy._rrpv[0 * policy.num_ways + 3] in (0, MAX_RRPV)

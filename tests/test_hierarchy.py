@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import L1_HIT, CacheHierarchy, trains_l2_prefetcher
 
 
 def small_hierarchy(n_cores=1):
@@ -19,8 +19,7 @@ def small_hierarchy(n_cores=1):
 
 def test_first_access_goes_to_dram():
     h = small_hierarchy()
-    event = h.access(0, pc=1, addr=0x1000)
-    assert event.hit_level == "dram"
+    assert h.access(0, pc=1, addr=0x1000) == ("dram", None)
     assert h.counters[0].dram_accesses == 1
     assert h.traffic.bytes_by_category["demand"] == 64
 
@@ -28,8 +27,7 @@ def test_first_access_goes_to_dram():
 def test_second_access_hits_l1():
     h = small_hierarchy()
     h.access(0, 1, 0x1000)
-    event = h.access(0, 1, 0x1000)
-    assert event.hit_level == "l1"
+    assert h.access(0, 1, 0x1000) is L1_HIT
     assert h.counters[0].l1_hits == 1
 
 
@@ -40,8 +38,7 @@ def test_l2_hit_after_l1_eviction():
     sets_l1 = h.l1s[0].num_sets
     h.access(0, 1, sets_l1 * 64)
     h.access(0, 1, 2 * sets_l1 * 64)
-    event = h.access(0, 1, 0)
-    assert event.hit_level == "l2"
+    assert h.access(0, 1, 0) == ("l2", None)
 
 
 def test_prefetch_paths():
@@ -72,18 +69,17 @@ def test_prefetch_from_llc_moves_without_traffic():
 def test_prefetch_hit_reported_once_and_kind_tagged():
     h = small_hierarchy()
     h.prefetch(0, line=9, kind="l2")
-    event = h.access(0, 1, 9 * 64)
-    assert event.prefetch_hit_kind == "l2"
-    assert event.l2_prefetch_hit
+    assert h.access(0, 1, 9 * 64) == ("l2", "l2")
     assert h.counters[0].l2_prefetch_hits == 1
+    # Reported once: the prefetch mark is gone after the first touch.
+    h.l1s[0].invalidate(9)
+    assert h.access(0, 1, 9 * 64) == ("l2", None)
 
 
 def test_l1_prefetch_kind_counted_separately():
     h = small_hierarchy()
     h.prefetch(0, line=9, kind="l1")
-    event = h.access(0, 1, 9 * 64)
-    assert event.prefetch_hit_kind == "l1"
-    assert not event.l2_prefetch_hit
+    assert h.access(0, 1, 9 * 64) == ("l2", "l1")
     c = h.counters[0]
     assert c.l1pf_useful == 1
     assert c.l2_prefetch_hits == 0
@@ -94,8 +90,8 @@ def test_trains_l2_prefetcher_stream():
     h = small_hierarchy()
     miss = h.access(0, 1, 0x2000)
     hit = h.access(0, 1, 0x2000)
-    assert miss.trains_l2_prefetcher  # L2 miss
-    assert not hit.trains_l2_prefetcher  # plain L1 hit
+    assert trains_l2_prefetcher(*miss)  # L2 miss
+    assert not trains_l2_prefetcher(*hit)  # plain L1 hit
 
 
 def test_writeback_traffic_on_dirty_llc_eviction():
@@ -111,9 +107,8 @@ def test_writeback_traffic_on_dirty_llc_eviction():
 def test_shared_llc_between_cores():
     h = small_hierarchy(n_cores=2)
     h.access(0, 1, 0x5000)
-    event = h.access(1, 1, 0x5000)
     # Core 1 misses its private L1/L2 but hits the shared LLC.
-    assert event.hit_level == "llc"
+    assert h.access(1, 1, 0x5000) == ("llc", None)
 
 
 def test_resize_llc_data_ways_flushes_dirty():

@@ -87,21 +87,18 @@ def test_dram_completions_monotone_per_request_time(reqs):
 def _assert_store_invariants(store) -> None:
     """Structural invariants of the set-associative metadata arrays."""
     assert store.occupancy() <= store.capacity_entries
-    for set_idx in range(store.num_sets):
-        ways = store._ways[set_idx]
-        index = store._index[set_idx]
-        free = store._free[set_idx]
-        # The index maps exactly the occupied ways, and each mapped way
-        # actually holds the trigger it is indexed under.
-        assert len(index) + len(free) == ENTRIES_PER_LINE
-        for trigger, way in index.items():
-            entry = ways[way]
-            assert entry is not None
-            assert entry.trigger == trigger
+    assert sum(len(row) for row in store._rows.values()) == store.occupancy()
+    for set_idx, row in store._rows.items():
+        # Each set holds at most one line's worth of entries, every entry
+        # sits at its own way in its trigger's set, and the trigger index
+        # maps exactly the resident entries.
+        assert 0 <= set_idx < store.num_sets
+        assert len(row) <= ENTRIES_PER_LINE
+        for way, entry in enumerate(row):
+            assert entry.way == way
+            assert entry.trigger & (store.num_sets - 1) == set_idx
             assert entry.confidence in (0, 1)
-            assert store._set_of(trigger) == set_idx
-        for way in free:
-            assert ways[way] is None
+            assert store._entries[entry.trigger] is entry
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,10 +158,11 @@ def test_reuse_policy_resize_preserves_ordering_contract(ops, shrink_to, regrow_
     policy = ReuseAwarePolicy(2, 8)
 
     def check_victims():
+        ways = policy.num_ways
+        assert len(policy._reuse) == len(policy._last_touch) == 2 * ways
         for set_idx in range(2):
-            reuse = policy._reuse[set_idx]
-            touches = policy._last_touch[set_idx]
-            assert len(reuse) == len(touches) == policy.num_ways
+            reuse = policy._reuse[set_idx * ways : (set_idx + 1) * ways]
+            touches = policy._last_touch[set_idx * ways : (set_idx + 1) * ways]
             reference = min(
                 range(policy.num_ways), key=lambda w: (reuse[w], touches[w])
             )
@@ -189,5 +187,5 @@ def test_reuse_policy_resize_preserves_ordering_contract(ops, shrink_to, regrow_
         # pre-shrink counters resurfacing as fake reuse.
         for set_idx in range(2):
             for way in range(shrink_to, regrow_to):
-                assert policy._reuse[set_idx][way] == 0
-                assert policy._last_touch[set_idx][way] == -1
+                assert policy._reuse[set_idx * regrow_to + way] == 0
+                assert policy._last_touch[set_idx * regrow_to + way] == -1

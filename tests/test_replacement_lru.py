@@ -106,7 +106,7 @@ def test_lru_victim_matches_reference_scan():
                 lru.on_hit(set_idx, way)
             else:
                 lru.on_evict(set_idx, way)  # resets to -1: creates ties
-            touches = lru._last_touch[set_idx]
+            touches = lru._last_touch[set_idx * ways : (set_idx + 1) * ways]
             reference = min(range(ways), key=lambda w: touches[w])
             assert lru.victim(set_idx) == reference
 
