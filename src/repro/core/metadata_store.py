@@ -198,17 +198,6 @@ class MetadataStore:
                 self._entries[entry.trigger] = entry
                 self._policy.on_fill(set_idx, entry.way, 0)
 
-    # -- successor decode ----------------------------------------------------
-
-    def _decode(self, entry: MetadataEntry) -> Optional[int]:
-        if self.tag_table is not None:
-            tag = self.tag_table.expand(entry.next_compact)
-            if tag is None:
-                return None  # compressed tag recycled away
-        else:
-            tag = entry.next_compact
-        return (tag << SET_ID_BITS) | entry.next_set_id
-
     # -- operations ----------------------------------------------------------
 
     def lookup(self, trigger: int, pc: int = 0) -> Optional[int]:
@@ -224,29 +213,23 @@ class MetadataStore:
         replacement state (Trimma's cheap hot-path level).
         """
         self.lookups += 1
-        if self._near_capacity:
-            near = self._near.get(trigger)
-            if near is not None:
-                self._near.move_to_end(trigger)
-                self.near_hits += 1
-                self.lookup_hits += 1
-                if self.track_reuse:
-                    self.reuse_counts[trigger] = (
-                        self.reuse_counts.get(trigger, 0) + 1
-                    )
-                return self._decode(near)
-        self.llc_accesses += 1
-        entry = self._entries.get(trigger)
-        if entry is None:
-            return None
+        entry = self._near.get(trigger) if self._near_capacity else None
+        if entry is not None:
+            self._near.move_to_end(trigger)
+            self.near_hits += 1
+        else:
+            self.llc_accesses += 1
+            entry = self._entries.get(trigger)
+            if entry is None:
+                return None
+            policy = self._policy
+            if policy is not None:
+                policy.on_hit(trigger & (self.num_sets - 1), entry.way, pc)
+            if self._near_capacity:
+                self._near_insert(entry)
         self.lookup_hits += 1
         if self.track_reuse:
             self.reuse_counts[trigger] = self.reuse_counts.get(trigger, 0) + 1
-        policy = self._policy
-        if policy is not None:
-            policy.on_hit(trigger & (self.num_sets - 1), entry.way, pc)
-        if self._near_capacity:
-            self._near_insert(entry)
         tag = entry.next_compact
         if self.tag_table is not None:
             tag = self.tag_table.expand(tag)

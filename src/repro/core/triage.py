@@ -197,8 +197,8 @@ class TriagePrefetcher(BasePrefetcher):
         return candidates
 
     def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
-        # MetadataStore.record_prefetch_outcome, one call shorter: only a
-        # non-redundant prefetch trains the store's sampler.
+        # Only a non-redundant prefetch trains the store's sampler (the
+        # gate of MetadataStore.record_prefetch_outcome).
         if source != "redundant":
             self.store.observe_access(*candidate.context)
 
