@@ -142,10 +142,8 @@ class HawkeyePolicy(ReplacementPolicy):
         slot = set_idx * self.num_ways + way
         self._line_pc[slot] = pc
         predictor = self.predictor
-        if (
-            predictor._counters.get((pc ^ pc >> 13 ^ pc >> 26) & predictor.mask, THRESHOLD)
-            >= THRESHOLD
-        ):
+        index = (pc ^ (pc >> 13) ^ (pc >> 26)) & predictor.mask
+        if predictor._counters.get(index, THRESHOLD) >= THRESHOLD:
             self._rrpv[slot] = 0
         else:
             self._rrpv[slot] = MAX_RRPV
@@ -159,10 +157,8 @@ class HawkeyePolicy(ReplacementPolicy):
         self._line_pc[base + way] = pc
         predictor = self.predictor
         rrpv = self._rrpv
-        if (
-            predictor._counters.get((pc ^ pc >> 13 ^ pc >> 26) & predictor.mask, THRESHOLD)
-            >= THRESHOLD
-        ):
+        index = (pc ^ (pc >> 13) ^ (pc >> 26)) & predictor.mask
+        if predictor._counters.get(index, THRESHOLD) >= THRESHOLD:
             # Friendly insertion: age everyone else so stale friendly
             # lines eventually become evictable.
             rrpv[base : base + ways] = [

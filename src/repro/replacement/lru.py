@@ -19,8 +19,9 @@ class LruPolicy(ReplacementPolicy):
     in Python than maintaining an explicit recency stack and behaves
     identically.  :meth:`victim` is two C-level passes over a slice of
     the set's 16-ish timestamps (``min`` + ``list.index``) -- no per-way
-    lambda calls, no candidates list -- and ties (only possible between never-touched
-    ways, since live timestamps are unique) break toward the lowest way.
+    lambda calls, no candidates list -- and ties (only possible between
+    never-touched ways, since live timestamps are unique) break toward
+    the lowest way.
     """
 
     def __init__(self, num_sets: int, num_ways: int):
