@@ -12,7 +12,8 @@ metadata").
 
 A fill, :meth:`invalidate` and :meth:`set_active_ways` hand displaced
 lines back as ``(line, dirty)`` pairs, so the caller can write dirty
-ones back.
+ones back.  :meth:`fetch` is the last level's probe-or-fill: one call
+per LLC lookup of a demand or prefetch miss.
 """
 
 from __future__ import annotations
@@ -181,12 +182,43 @@ class LruCache(_Geometry):
         if free:
             way = heappop(free)
         else:
-            victim_line = next(iter(lines))
+            for victim_line in lines:
+                break
             victim_state = lines.pop(victim_line)
             way = victim_state >> WAY_SHIFT
             victim = (victim_line, victim_state & DIRTY == DIRTY)
         lines[line] = way << WAY_SHIFT | PF_BITS[prefetched] | (DIRTY if dirty else 0)
         return victim
+
+    def fetch(self, line: int, pc: int = 0, demand: bool = True) -> Optional[bool]:
+        """Probe for ``line`` and install it on a miss, in one call.
+
+        Returns None when ``line`` is resident; a demand probe then makes
+        it most recent and clears its prefetch bits, a prefetch probe
+        (``demand=False``) leaves it as it is.  On a miss the line is
+        filled as by :meth:`fill` and the result says whether the fill
+        evicted a dirty line.
+        """
+        set_idx = line & self.set_mask
+        lines = self.sets[set_idx]
+        if demand:
+            state = lines.pop(line, None)
+            if state is not None:
+                lines[line] = state & ~PF_MASK
+                return None
+        elif line in lines:
+            return None
+        if not self.active_ways:
+            return False
+        free = self.free_ways[set_idx]
+        if free:
+            lines[line] = heappop(free) << WAY_SHIFT
+            return False
+        for victim in lines:
+            break
+        state = lines.pop(victim)
+        lines[line] = state >> WAY_SHIFT << WAY_SHIFT
+        return state & DIRTY == DIRTY
 
     def invalidate(self, line: int) -> Optional[Evicted]:
         """Drop ``line`` if resident; return it (caller handles writeback)."""
@@ -330,15 +362,41 @@ class Cache(_Geometry):
         if self.active_ways == 0:
             return None  # fully partitioned away: nothing to install into
         set_idx = line & self.set_mask
-        index = self._index[set_idx]
-        ways = self._ways[set_idx]
-        existing = index.get(line)
+        existing = self._index[set_idx].get(line)
         if existing is not None:
             if dirty:
-                ways[existing].dirty = True
+                self._ways[set_idx][existing].dirty = True
             self._policy_on_hit(set_idx, existing, pc)
             return None
+        return self._install(set_idx, line, pc, dirty, prefetched)
 
+    def fetch(self, line: int, pc: int = 0, demand: bool = True) -> Optional[bool]:
+        """Probe for ``line`` and install it on a miss (see
+        :meth:`LruCache.fetch`): None when resident, else whether the
+        fill evicted a dirty line."""
+        set_idx = line & self.set_mask
+        way = self._index[set_idx].get(line)
+        if way is not None:
+            if demand:
+                self._policy_on_hit(set_idx, way, pc)
+                self._ways[set_idx][way].prefetched = None
+            return None
+        if self.active_ways == 0:
+            return False
+        victim = self._install(set_idx, line, pc, False, None)
+        return victim is not None and victim[1]
+
+    def _install(
+        self,
+        set_idx: int,
+        line: int,
+        pc: int,
+        dirty: bool,
+        prefetched: Optional[str],
+    ) -> Optional[Evicted]:
+        """Fill a line known not to be resident; return the victim."""
+        index = self._index[set_idx]
+        ways = self._ways[set_idx]
         free = self._free[set_idx]
         victim: Optional[Evicted] = None
         if free:

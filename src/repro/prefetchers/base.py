@@ -64,6 +64,12 @@ class BasePrefetcher:
         ``"dram"`` -- the return value of ``CacheHierarchy.prefetch``.
         """
 
+    @property
+    def wants_feedback(self) -> bool:
+        """False when :meth:`feedback` is the base no-op, so the engines
+        can skip the call."""
+        return type(self).feedback is not BasePrefetcher.feedback
+
     def epoch_tick(self) -> None:
         """Hook called periodically by the engine (partition updates etc.)."""
 

@@ -50,27 +50,23 @@ class BestOffsetPrefetcher(BasePrefetcher):
         self.best_offset = 1
         self.prefetching_on = True
 
-    # -- RR table ---------------------------------------------------------
-
-    def _rr_insert(self, line: int) -> None:
-        self._rr_table[self._rr_hash(line)] = line
-
-    def _rr_contains(self, line: int) -> bool:
-        return self._rr_table[self._rr_hash(line)] == line
-
-    def _rr_hash(self, line: int) -> int:
-        return (line ^ (line >> 8)) & (self.rr_size - 1)
-
     # -- learning ----------------------------------------------------------
+    #
+    # The RR table is a direct-mapped array of lines indexed by
+    # ``(line ^ (line >> 8)) & (rr_size - 1)``; observe() probes and
+    # inserts inline (it runs on every L2-stream event).
 
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
+        rr_table = self._rr_table
+        rr_mask = self.rr_size - 1
         # Learning: test one offset per event, round-robin.
-        offset = self.offsets[self._test_index]
-        if self._rr_contains(line - offset):
-            self._scores[self._test_index] += 1
-            if self._scores[self._test_index] >= self.SCORE_MAX:
+        index = self._test_index
+        base = line - self.offsets[index]
+        if rr_table[(base ^ (base >> 8)) & rr_mask] == base:
+            self._scores[index] += 1
+            if self._scores[index] >= self.SCORE_MAX:
                 self._end_round()
         self._test_index += 1
         if self._test_index >= len(self.offsets):
@@ -83,12 +79,15 @@ class BestOffsetPrefetcher(BasePrefetcher):
         # offset tests can match against.  (Michaud inserts line - D on
         # fill completion; with our zero-latency fills this reduces to
         # inserting the line itself.)
-        self._rr_insert(line)
+        rr_table[(line ^ (line >> 8)) & rr_mask] = line
 
         if not self.prefetching_on:
             return []
-        lines = [line + self.best_offset * i for i in range(1, self.degree + 1)]
-        return self.candidates(lines)
+        step = self.best_offset
+        return [
+            PrefetchCandidate(line + step * i, None, self)
+            for i in range(1, self.degree + 1)
+        ]
 
     def _end_round(self) -> None:
         best_idx = max(range(len(self.offsets)), key=lambda i: self._scores[i])

@@ -46,6 +46,11 @@ class HybridPrefetcher(BasePrefetcher):
         if owner is not None and owner is not self:
             owner.feedback(candidate, source)
 
+    @property
+    def wants_feedback(self) -> bool:
+        # Engines send feedback straight to each candidate's component.
+        return any(c.wants_feedback for c in self.components)
+
     def epoch_tick(self) -> None:
         for component in self.components:
             component.epoch_tick()

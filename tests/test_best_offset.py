@@ -51,7 +51,10 @@ def test_round_ends_at_score_max():
 
 
 def test_rr_table_is_direct_mapped():
-    pf = BestOffsetPrefetcher(rr_table_bits=2)  # 4 entries
-    pf._rr_insert(1)
-    pf._rr_insert(5)  # maps to a different slot than 1? hash-dependent
-    assert pf._rr_contains(5)
+    """Lines sharing an RR-table slot replace each other."""
+    pf = BestOffsetPrefetcher(rr_table_bits=2, offsets=[4])  # 4 slots
+    pf.observe(0, 1)  # slot 1 holds line 1
+    pf.observe(0, 5)  # tests 5 - 4 = 1: found; line 5 takes slot 1
+    assert pf._scores == [1]
+    pf.observe(0, 5)  # tests 1 again: gone
+    assert pf._scores == [1]

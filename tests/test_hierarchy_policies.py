@@ -6,16 +6,18 @@ from repro.memory.hierarchy import CacheHierarchy
 from repro.sim.config import MachineConfig
 from repro.sim.single_core import simulate
 from repro.workloads.irregular import chain_trace
+from tests.demand import Demand
 
 
 @pytest.mark.parametrize("policy", ["lru", "srrip", "drrip", "hawkeye", "random"])
 def test_hierarchy_runs_with_each_llc_policy(policy):
     h = CacheHierarchy(
-        n_cores=1, l1_size=512, l1_ways=2, l2_size=1024, l2_ways=2,
+        n_cores=1, l2_size=1024, l2_ways=2,
         llc_size_per_core=4096, llc_ways=4, llc_policy=policy,
     )
+    demand = Demand(h, l1_size=512, l1_ways=2)
     for line in range(300):
-        h.access(0, 1, (line % 120) * 64)
+        demand(0, 1, (line % 120) * 64)
     c = h.counters[0]
     assert c.accesses == 300
     assert c.accesses == c.l1_hits + c.l2_hits + c.llc_hits + c.dram_accesses
