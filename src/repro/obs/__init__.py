@@ -51,6 +51,7 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -175,6 +176,9 @@ class ObsSession:
         paths["epochs"] = self.sampler.to_jsonl(target / "epochs.jsonl")
         self.sampler.to_csv(target / "epochs.csv")
         paths["events"] = self.events.write_jsonl(target / "events.jsonl")
+        event_counts = target / "event_counts.json"
+        event_counts.write_text(json.dumps(self.events.tally()) + "\n")
+        paths["event_counts"] = event_counts
         manifest_path = target / "manifests.jsonl"
         with manifest_path.open("w") as fh:
             for manifest in self.manifests:

@@ -137,6 +137,16 @@ class TraceEventStream:
     def __len__(self) -> int:
         return len(self._ring)
 
+    def tally(self) -> Dict[str, int]:
+        """Accepted, kept and filtered counts; ``emitted - kept`` events
+        aged out of the ring."""
+        return {
+            "emitted": self.emitted,
+            "kept": len(self._ring),
+            "filtered": self.filtered,
+            "capacity": self.capacity,
+        }
+
     # -- export ----------------------------------------------------------
 
     def write_jsonl(self, path) -> Path:

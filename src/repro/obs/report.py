@@ -2,8 +2,8 @@
 
 ``python -m repro report <dir>`` points here.  A run directory is what
 :meth:`repro.obs.ObsSession.flush` wrote: ``manifests.jsonl``,
-``epochs.jsonl`` (+ ``.csv``), ``events.jsonl``, ``metrics.json`` and
-optionally ``spans.jsonl``.  A bare ``*.jsonl`` file is also accepted
+``epochs.jsonl`` (+ ``.csv``), ``events.jsonl`` with its
+``event_counts.json``, ``metrics.json`` and optionally ``spans.jsonl``.  A bare ``*.jsonl`` file is also accepted
 and treated as an epoch time-series.  Both are read by the same
 tolerant reader as the HTML report (:mod:`repro.obs.reporting.discover`):
 torn or garbled lines are skipped and listed under "Problems".
@@ -116,13 +116,36 @@ def manifests_table(manifests: List[Dict[str, object]]) -> str:
     return _format_table(headers, rows, "Run manifests")
 
 
-def events_table(events: List[Dict[str, object]], tail: int = 8) -> str:
+def events_table(
+    events: List[Dict[str, object]],
+    tail: int = 8,
+    tally: Optional[Dict[str, object]] = None,
+) -> str:
+    """Event counts per category/severity and the newest ``tail`` events.
+
+    ``tally`` is the stream's flush-time :meth:`TraceEventStream.tally`;
+    when fewer events were read than emitted, the table says how many
+    fell out of the ring and how many written lines were unreadable.
+    """
     counts: Dict[str, int] = {}
     for event in events:
         key = f"{event.get('category')}/{event.get('severity')}"
         counts[key] = counts.get(key, 0) + 1
     rows = [[k, v] for k, v in sorted(counts.items())]
     out = _format_table(["category/severity", "count"], rows, "Trace events")
+    emitted = (tally or {}).get("emitted")
+    if isinstance(emitted, int) and emitted != len(events):
+        out += f"\nkept {len(events)} of {emitted} emitted events"
+        written = tally.get("kept")
+        if isinstance(written, int):
+            if written < emitted:
+                out += (
+                    f"; the {emitted - written} oldest fell out of the "
+                    f"{tally.get('capacity')}-event ring "
+                    "(raise REPRO_OBS_EVENTS=<capacity>)"
+                )
+            if len(events) < written:
+                out += f"; {written - len(events)} written events could not be read"
     if events and tail > 0:
         out += "\nlast events:"
         for event in events[-tail:]:
@@ -208,8 +231,10 @@ def render_report(
     if run.manifests:
         sections.append(manifests_table(run.manifests))
     sections.append(epochs_table(run.epochs, columns=columns))
-    if run.events:
-        sections.append(events_table(run.events, tail=events_tail))
+    if run.events or run.event_counts.get("emitted"):
+        sections.append(
+            events_table(run.events, tail=events_tail, tally=run.event_counts)
+        )
     if run.metrics:
         rows = [[name, value] for name, value in sorted(run.metrics.items())
                 if not isinstance(value, dict)]

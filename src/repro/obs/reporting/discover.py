@@ -75,6 +75,8 @@ class RunDir:
     manifests: List[Dict[str, object]] = field(default_factory=list)
     epochs: List[Dict[str, object]] = field(default_factory=list)
     events: List[Dict[str, object]] = field(default_factory=list)
+    #: :meth:`TraceEventStream.tally` at flush time (empty when absent).
+    event_counts: Dict[str, object] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
@@ -125,6 +127,22 @@ class ArtifactTree:
         return out
 
 
+def _read_object(path: Path, problems: List[str]) -> Dict[str, object]:
+    """A JSON object file, or ``{}`` (with a problem noted when the file
+    exists but cannot be used)."""
+    if not path.exists():
+        return {}
+    try:
+        data = json.loads(path.read_text(errors="replace"))
+    except (OSError, json.JSONDecodeError):
+        problems.append(f"{path}: unreadable or malformed; ignored")
+        return {}
+    if not isinstance(data, dict):
+        problems.append(f"{path}: not a JSON object; ignored")
+        return {}
+    return data
+
+
 def load_run_dir(path) -> RunDir:
     """Load one run directory, degrading per-file instead of raising."""
     path = Path(path)
@@ -148,16 +166,8 @@ def load_run_dir(path) -> RunDir:
     if spans.exists():
         run.spans, problems = read_jsonl_tolerant(spans)
         run.problems.extend(problems)
-    metrics = path / "metrics.json"
-    if metrics.exists():
-        try:
-            data = json.loads(metrics.read_text(errors="replace"))
-            if isinstance(data, dict):
-                run.metrics = data
-            else:
-                run.problems.append(f"{metrics}: not a JSON object; ignored")
-        except (OSError, json.JSONDecodeError):
-            run.problems.append(f"{metrics}: unreadable or malformed; ignored")
+    run.metrics = _read_object(path / "metrics.json", run.problems)
+    run.event_counts = _read_object(path / "event_counts.json", run.problems)
     return run
 
 

@@ -91,13 +91,13 @@ class SmsPrefetcher(BasePrefetcher):
         if relative is None:
             return []
         self._pht.move_to_end(signature)
-        region_base = region * self.region_lines
-        lines = [
-            region_base + (offset + rel) % self.region_lines
-            for rel in range(1, self.region_lines)
-            if relative & (1 << rel)
+        region_lines = self.region_lines
+        region_base = region * region_lines
+        return [
+            PrefetchCandidate(region_base + (offset + rel) % region_lines, None, self)
+            for rel in range(1, region_lines)
+            if relative >> rel & 1
         ]
-        return self.candidates(lines)
 
     # -- table maintenance ---------------------------------------------------
 

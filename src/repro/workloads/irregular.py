@@ -305,12 +305,12 @@ def shuffled_reuse_trace(
     addrs_out: List[int] = []
     writes_out: List[bool] = []
     while len(addrs_out) < n_accesses:
-        for i, idx in enumerate(rng.permutation(n_lines)):
-            addrs_out.append(int(lines[int(idx)]) << 6)
+        order = rng.permutation(n_lines)[: n_accesses - len(addrs_out)]
+        # A pass draws one double per access after its permutation.
+        writes_out.extend((rng.random(len(order)) < write_frac).tolist())
+        for i, idx in enumerate(order.tolist()):
+            addrs_out.append(int(lines[idx]) << 6)
             pcs_out.append(trace_pcs[i % len(trace_pcs)])
-            writes_out.append(bool(rng.random() < write_frac))
-            if len(addrs_out) >= n_accesses:
-                break
 
     return Trace(
         name=name,

@@ -42,14 +42,15 @@ def stream_trace(
 
     pcs_out: List[int] = []
     addrs_out: List[int] = []
-    writes_out: List[bool] = []
+    # One draw per access, in order: the same stream of doubles as a
+    # scalar draw inside the loop.
+    writes_out: List[bool] = (rng.random(n_accesses) < write_frac).tolist()
     for i in range(n_accesses):
         s = i % n_streams
         line = bases[s] + (cursors[s] % lines_per_stream)
         cursors[s] += 1
         pcs_out.append(stream_pcs[s])
         addrs_out.append(line << 6)
-        writes_out.append(bool(rng.random() < write_frac))
 
     return Trace(
         name=name,
@@ -86,14 +87,13 @@ def strided_trace(
 
     pcs_out: List[int] = []
     addrs_out: List[int] = []
-    writes_out: List[bool] = []
+    writes_out: List[bool] = (rng.random(n_accesses) < write_frac).tolist()
     for i in range(n_accesses):
         s = i % n_streams
         line = bases[s] + (cursors[s] * strides[s]) % lines_per_stream
         cursors[s] += 1
         pcs_out.append(stream_pcs[s])
         addrs_out.append(line << 6)
-        writes_out.append(bool(rng.random() < write_frac))
 
     return Trace(
         name=name,

@@ -578,6 +578,38 @@ class TestReportRobustness:
         # Everything gone: still renders the empty-epochs placeholder.
         assert "no epoch samples" in render_report(full)
 
+    def _dropping_dir(self, tmp_path):
+        session = obs.ObsSession(event_capacity=7)
+        for i in range(10):
+            session.events.emit("test.tick", i=i)
+        paths = session.flush(tmp_path)
+        assert json.loads(paths["event_counts"].read_text()) == {
+            "emitted": 10, "kept": 7, "filtered": 0, "capacity": 7,
+        }
+        return tmp_path
+
+    def test_report_shows_events_dropped_from_the_ring(self, tmp_path):
+        report = render_report(self._dropping_dir(tmp_path))
+        assert "kept 7 of 10 emitted events" in report
+        assert "the 3 oldest fell out of the 7-event ring" in report
+        assert "could not be read" not in report
+
+    def test_report_shows_events_lost_to_a_torn_file(self, tmp_path):
+        run_dir = self._dropping_dir(tmp_path)
+        events = run_dir / "events.jsonl"
+        text = events.read_text()
+        events.write_text(text[: len(text) - 12])  # tear the last line
+        report = render_report(run_dir)
+        assert "kept 6 of 10 emitted events" in report
+        assert "the 3 oldest fell out" in report
+        assert "1 written events could not be read" in report
+        assert "Problems" in report
+
+    def test_report_is_silent_when_every_event_was_kept(self, tmp_path):
+        report = render_report(self._flushed_dir(tmp_path))
+        assert "Trace events" in report
+        assert "emitted events" not in report
+
     def test_events_tail_zero_suppresses_tail_dump(self, tmp_path):
         full = self._flushed_dir(tmp_path)
         assert "last events:" in render_report(full, events_tail=8)
