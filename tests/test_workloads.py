@@ -139,3 +139,24 @@ def test_scan_trace_never_revisits_regions():
 def test_pc_of_is_instruction_like():
     assert pc_of(0) != pc_of(1)
     assert pc_of(1) - pc_of(0) == 0x10
+
+
+@pytest.mark.parametrize("n", [1, 997, 6_001])
+def test_write_draws_match_one_draw_per_access(n):
+    """The stream, strided and shuffled generators draw every write flag
+    in one array call; the flags equal one scalar draw per access in
+    trace order (after each pass's permutation for shuffled traces)."""
+    import numpy as np
+
+    for make, frac in ((stream_trace, 0.2), (strided_trace, 0.15)):
+        rng = np.random.default_rng(5)
+        assert make("w", n, seed=5).writes == [bool(rng.random() < frac) for _ in range(n)]
+    n_lines = 2_000
+    rng = np.random.default_rng(5)
+    rng.permutation(n_lines * 4)  # the arena layout's draw
+    flags = []
+    while len(flags) < n:
+        rng.permutation(n_lines)
+        for _ in range(min(n_lines, n - len(flags))):
+            flags.append(bool(rng.random() < 0.15))
+    assert shuffled_reuse_trace("w", n, seed=5, n_lines=n_lines).writes == flags
