@@ -49,6 +49,25 @@ def test_fill_evicts_lru_victim():
         assert cache.contains(lines[0]) and cache.contains(lines[2])
 
 
+def test_fetch_probes_then_fills():
+    for cache in caches(size=1024, ways=2):  # 8 sets
+        s = cache.num_sets
+        lines = [s * i for i in range(4)]  # all map to set 0
+        assert cache.fetch(lines[0]) is False  # miss, free way
+        cache.fill(lines[1], dirty=True)
+        # A prefetch probe of a resident line leaves its recency alone,
+        # so lines[0] stays least recent ...
+        assert cache.fetch(lines[0], demand=False) is None
+        assert cache.fetch(lines[2]) is False  # evicts clean lines[0]
+        assert not cache.contains(lines[0])
+        # ... and a demand probe makes it most recent.
+        assert cache.fetch(lines[1]) is None
+        assert cache.fetch(lines[3]) is False  # evicts lines[2]
+        assert cache.fetch(lines[0]) is True  # evicts dirty lines[1]
+        cache.set_active_ways(0)
+        assert cache.fetch(lines[2]) is False and not cache.contains(lines[2])
+
+
 def test_dirty_bit_set_on_write_and_merge_on_refill():
     for cache in caches():
         cache.fill(7)
