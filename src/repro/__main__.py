@@ -29,7 +29,7 @@ Subcommands:
 * ``python -m repro dashboard``            -- cross-run KPI/perf dashboard
                                               over BENCH_*.json trajectories
                                               with regression highlighting
-* ``python -m repro profile fig05``        -- run with wall-time attribution
+* ``python -m repro profile fig05``        -- run with host time by layer
 * ``python -m repro cache stats|clear``    -- inspect / empty the on-disk
                                               result cache
 * ``python -m repro serve``                -- start the in-process prefetch
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     )
 
     profile_parser = sub.add_parser(
-        "profile", help="run one experiment with wall-time phase attribution"
+        "profile", help="run one experiment, sampling host time by layer"
     )
     profile_parser.add_argument("experiment", help="experiment name, e.g. fig05")
     profile_parser.add_argument("--quick", action="store_true")
@@ -477,19 +477,15 @@ def main(argv=None) -> int:
     from repro import obs
 
     if args.command == "profile":
-        from repro.obs.report import phases_table
+        from repro.obs.report import layers_table
 
-        session = obs.enable(profile=True)
-        tracer = session.tracer
+        session = obs.enable()
+        session.layers.start()
         try:
-            # One root span per experiment: trace_gen and every sim.run
-            # attach under it, so their phase spans are recorded.
-            for name, module in selected:
-                with tracer.start_trace("profile", name, experiment=name):
-                    _run_experiments([(name, module)], args.quick)
+            _run_experiments(selected, args.quick)
         finally:
             obs.disable()
-        print(phases_table(tracer.records(), evicted=tracer.finished - len(tracer)))
+        print(layers_table(session.layers.to_dict()))
         return 0
 
     want_report = args.report or os.environ.get("REPRO_REPORT", "") not in ("", "0")
@@ -853,6 +849,9 @@ def _bench_command(args) -> int:
             )
         for name, value in sorted(kpis.items()):
             print(f"  {name:<40} {value:.6g}")
+        from repro.obs.report import layers_table
+
+        print(layers_table(record["layers"]))
         if overhead is not None:
             print(
                 f"tracing overhead: {overhead:+.3f}% "

@@ -20,7 +20,6 @@ paper Section 4.3).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -137,10 +136,8 @@ class TriagePrefetcher(BasePrefetcher):
         self.on_partition_change = on_partition_change
         self._pending_capacity: Optional[int] = None
         #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached by the simulation engine when observability is on, and
-        #: seconds spent in :meth:`observe` (``None`` unless profiling).
+        #: attached by the simulation engine when observability is on.
         self.events = None
-        self.profile: Optional[float] = None
 
     # -- prefetcher interface -------------------------------------------------
 
@@ -148,9 +145,6 @@ class TriagePrefetcher(BasePrefetcher):
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
         stream_pc = pc if self.config.pc_localized else 0
-        profile = self.profile
-        if profile is not None:
-            profile_start = time.perf_counter()
 
         # The utility controller also watches the data side: this very
         # event *is* an LLC data access (the L2 miss stream).  Its
@@ -192,8 +186,6 @@ class TriagePrefetcher(BasePrefetcher):
 
         if self._pending_capacity is not None:
             self._apply_pending_partition()
-        if profile is not None:
-            self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
 
     def feedback(self, candidate: PrefetchCandidate, source: str) -> None:

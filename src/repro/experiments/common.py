@@ -147,21 +147,6 @@ def run_single_cache_key(
     )
 
 
-def _trace_gen_phase():
-    """A ``phase.trace_gen`` span under the current span, if any.
-
-    A no-op without a session or without a current span to attach to.
-    """
-    from contextlib import nullcontext
-
-    from repro.obs import get_session
-
-    session = get_session()
-    if session is None:
-        return nullcontext()
-    return session.tracer.span("phase.trace_gen")
-
-
 def get_trace(bench: str, n: int, seed: int = 1, suite: str = "spec"):
     """Build (and cache) a scaled trace for a named benchmark.
 
@@ -181,8 +166,7 @@ def get_trace(bench: str, n: int, seed: int = 1, suite: str = "spec"):
                 _TRACE_CACHE[key] = cached
                 return cached
         maker = spec.make_trace if suite == "spec" else cloudsuite.make_trace
-        with _trace_gen_phase():
-            _TRACE_CACHE[key] = maker(bench, n_accesses=n, seed=seed, scale=SCALE)
+        _TRACE_CACHE[key] = maker(bench, n_accesses=n, seed=seed, scale=SCALE)
         if disk_key is not None:
             disk.put_trace(disk_key, _TRACE_CACHE[key])
     return _TRACE_CACHE[key]
@@ -199,10 +183,9 @@ def _core_trace(suite: str, bench: str, n: int, seed: int, arena: int):
     trace = _TRACE_CACHE.get(key)
     if trace is None:
         maker = spec.make_trace if suite == "spec" else cloudsuite.make_trace
-        with _trace_gen_phase():
-            trace = _TRACE_CACHE[key] = maker(
-                bench, n_accesses=n, seed=seed, arena=arena, scale=MULTI_SCALE
-            )
+        trace = _TRACE_CACHE[key] = maker(
+            bench, n_accesses=n, seed=seed, arena=arena, scale=MULTI_SCALE
+        )
     return trace
 
 

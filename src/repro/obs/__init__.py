@@ -15,9 +15,9 @@ taxing the default path:
   evictions) with severity/category filtering;
 * :mod:`repro.obs.tracing` -- causal spans (trace/span/parent ids,
   derived deterministically from seeded tokens) with JSONL export, the
-  per-request / per-cell waterfall source and the one record of phase
-  wall time (``phase.*`` spans: trace gen, L2 stream, prefetchers,
-  metadata store);
+  per-request / per-cell waterfall source;
+* :mod:`repro.obs.layers` -- the one record of where host time went:
+  a ``SIGPROF`` sampler that charges CPU time to layers;
 * :mod:`repro.obs.slo` -- declarative service-level objectives with
   multi-window burn-rate verdicts;
 * :mod:`repro.obs.exposition` -- Prometheus text exposition of the
@@ -27,7 +27,7 @@ taxing the default path:
   every :class:`~repro.sim.stats.SimulationResult`;
 * :mod:`repro.obs.report` -- renders a flushed run directory back into
   human-readable tables (``python -m repro report <dir>``), including
-  the phase wall-time table that ``python -m repro profile`` prints;
+  the layer table that ``python -m repro profile`` prints;
 * :mod:`repro.obs.bench` -- timed, KPI-stamped benchmark records in
   append-only ``BENCH_<experiment>.json`` trajectories with regression
   comparison (``python -m repro bench <exp>`` / ``repro compare``).
@@ -36,8 +36,7 @@ Observability is **off by default**: the simulators only instrument when
 an :class:`ObsSession` is active (passed explicitly or enabled globally
 via :func:`enable`), and component hooks are single ``is None`` checks,
 so the disabled path adds no keys to hot-path dicts and no measurable
-wall time.  Per-access phase timing costs more still, so it needs its
-own opt-in, ``ObsSession(profile=True)``.
+wall time.
 
 Usage::
 
@@ -45,19 +44,19 @@ Usage::
 
     session = obs.enable(out_dir="results/obs/demo")
     simulate(trace, "triage_dynamic")       # instruments automatically
-    session.flush()                         # epochs.jsonl, events.jsonl, ...
+    session.flush()                         # epochs.jsonl, layers.json, ...
     obs.disable()
 """
 
 from __future__ import annotations
 
 import json
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.events import TraceEventStream
+from repro.obs.layers import LayerSampler
 from repro.obs.manifest import RunManifest
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import EpochSampler
@@ -85,7 +84,6 @@ class RunObserver:
         self.session = session
         self.run_id = run_id
         self.epoch = 0
-        self._started = time.perf_counter()
 
     # -- trace events (duck-typed sink for component hooks) --------------
 
@@ -105,10 +103,6 @@ class RunObserver:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def wall_time_s(self) -> float:
-        return time.perf_counter() - self._started
-
     def finish(self, manifest: RunManifest, metrics: Optional[Dict] = None) -> None:
         """Attach the metric dump to ``manifest`` and file it."""
         if metrics:
@@ -123,10 +117,8 @@ class ObsSession:
 
     A session typically spans one experiment invocation (many simulate
     calls); :meth:`flush` writes everything it accumulated to disk.
-
-    ``profile=True`` makes the engines time their hot loop per access
-    and file the seconds as ``phase.*`` spans under each ``sim.run``; it
-    turns tracing on, since spans are where phase time is recorded.
+    ``layers`` is its host-time sampler: :func:`enable` starts it when
+    the session has an output directory, :func:`disable` stops it.
     """
 
     def __init__(
@@ -135,7 +127,6 @@ class ObsSession:
         event_capacity: Optional[int] = None,
         min_severity: str = "debug",
         categories: Optional[Sequence[str]] = None,
-        profile: bool = False,
         trace: Optional[bool] = None,
         trace_capacity: Optional[int] = None,
     ):
@@ -146,12 +137,10 @@ class ObsSession:
             min_severity=min_severity,
             categories=categories,
         )
-        self.profile = bool(profile)
         # ``trace=None`` defers to REPRO_TRACE (enabled by default):
         # tracing costs nothing until a component actually opens a trace.
-        self.tracer = Tracer(
-            capacity=trace_capacity, enabled=True if profile else trace
-        )
+        self.tracer = Tracer(capacity=trace_capacity, enabled=trace)
+        self.layers = LayerSampler()
         self.manifests: List[RunManifest] = []
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._next_run = 0
@@ -179,6 +168,9 @@ class ObsSession:
         event_counts = target / "event_counts.json"
         event_counts.write_text(json.dumps(self.events.tally()) + "\n")
         paths["event_counts"] = event_counts
+        layers = target / "layers.json"
+        layers.write_text(json.dumps(self.layers.to_dict()) + "\n")
+        paths["layers"] = layers
         manifest_path = target / "manifests.jsonl"
         with manifest_path.open("w") as fh:
             for manifest in self.manifests:
@@ -201,12 +193,16 @@ def enable(**kwargs) -> ObsSession:
     """Install (and return) a global session; see :class:`ObsSession`."""
     global _SESSION
     _SESSION = ObsSession(**kwargs)
+    if _SESSION.out_dir is not None:
+        _SESSION.layers.start()
     return _SESSION
 
 
 def disable() -> None:
     """Tear down the global session (observability back to zero-cost)."""
     global _SESSION
+    if _SESSION is not None:
+        _SESSION.layers.stop()
     _SESSION = None
 
 

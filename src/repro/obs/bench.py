@@ -14,9 +14,10 @@ run*.  This module is that record:
 * **Timed runs** -- :func:`bench_experiment` runs one experiment with
   warmup + N timed repeats (process memos cleared between repeats, so
   each repeat does full work), recording wall times, simulated-access
-  throughput, peak RSS, result-cache hit/miss deltas and the
-  simulator's deterministic work counts, all stamped with the machine
-  fingerprint (:func:`repro.obs.manifest.machine_fingerprint`).
+  throughput, peak RSS, result-cache hit/miss deltas, the
+  simulator's deterministic work counts and host time by layer, all
+  stamped with the machine fingerprint
+  (:func:`repro.obs.manifest.machine_fingerprint`).
 * **Trajectory** -- :func:`append_record` appends one schema-versioned
   record to ``BENCH_<experiment>.json`` at the repo root (append-only:
   existing records are never rewritten), giving every later PR a
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.layers import summary
 from repro.obs.manifest import machine_fingerprint
 
 #: Trajectory record format version, bumped on breaking schema changes.
@@ -184,6 +186,7 @@ def bench_experiment(
     ``work`` counts are the :data:`WORK_COUNTERS` deltas over that
     repeat.  A cache-served cell skips the simulator, so ``work`` is
     written only when the timed repeats had no disk-cache hits.
+    ``layers`` is :func:`repro.obs.layers.summary` of the timed repeats.
     """
     from repro import obs
     from repro.experiments import common
@@ -200,6 +203,8 @@ def bench_experiment(
     ephemeral = session is None
     if ephemeral:
         session = obs.enable()
+    sampler = session.layers
+    started = False
     try:
         for _ in range(max(0, warmup)):
             common.clear_caches()
@@ -207,6 +212,8 @@ def bench_experiment(
 
         enabled, hits0, misses0 = _cache_counts()
         first = _work_counts(session.registry)
+        started = sampler.start()
+        counts0 = dict(sampler.counts)
 
         wall_times: List[float] = []
         table = None
@@ -220,6 +227,8 @@ def bench_experiment(
         _, hits1, misses1 = _cache_counts()
         last = _work_counts(session.registry)
     finally:
+        if started:
+            sampler.stop()
         if ephemeral:
             obs.disable()
 
@@ -247,6 +256,12 @@ def bench_experiment(
             "misses": misses1 - misses0,
         },
         "fingerprint": machine_fingerprint(),
+        "layers": summary(
+            {k: n - counts0.get(k, 0) for k, n in sampler.counts.items()
+             if n > counts0.get(k, 0)},
+            timed_total / len(wall_times),
+            sampler.note,
+        ),
     }
     if hits1 == hits0:
         record["work"] = {name: last[name] - before[name] for name in last}
@@ -345,6 +360,9 @@ def validate_record(record: Dict[str, object]) -> None:
     for counter, value in work.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise BenchSchemaError(f"work count {counter!r} is not an int: {value!r}")
+    layers = record.get("layers", {})  # optional: older records have none
+    if not isinstance(layers, dict):
+        raise BenchSchemaError(f"field 'layers' is {type(layers).__name__}, want dict")
 
 
 def load_trajectory(path) -> List[Dict[str, object]]:

@@ -3,7 +3,8 @@
 ``python -m repro report <dir>`` points here.  A run directory is what
 :meth:`repro.obs.ObsSession.flush` wrote: ``manifests.jsonl``,
 ``epochs.jsonl`` (+ ``.csv``), ``events.jsonl`` with its
-``event_counts.json``, ``metrics.json`` and optionally ``spans.jsonl``.  A bare ``*.jsonl`` file is also accepted
+``event_counts.json``, ``layers.json``, ``metrics.json`` and optionally
+``spans.jsonl``.  A bare ``*.jsonl`` file is also accepted
 and treated as an epoch time-series.  Both are read by the same
 tolerant reader as the HTML report (:mod:`repro.obs.reporting.discover`):
 torn or garbled lines are skipped and listed under "Problems".
@@ -13,9 +14,9 @@ per run and per epoch, the per-core metadata way split, store hit rate,
 DRAM utilization and coverage -- the internal trajectory behind the
 end-of-run aggregate (see ``docs/observability.md``).
 
-:func:`phases_table` sums the ``phase.*`` spans of a profiled run; both
-``repro report`` (from ``spans.jsonl``) and ``repro profile`` (from the
-live tracer) print it.
+:func:`layers_table` renders a host-time sampler's counts
+(:mod:`repro.obs.layers`); ``repro report`` prints it from
+``layers.json`` and ``repro profile`` from its live sampler.
 """
 
 from __future__ import annotations
@@ -116,36 +117,46 @@ def manifests_table(manifests: List[Dict[str, object]]) -> str:
     return _format_table(headers, rows, "Run manifests")
 
 
+def events_dropped_note(read: int, tally: Optional[Dict[str, object]]) -> str:
+    """The "kept K of E emitted events" line, or ``""`` when all ``read``.
+
+    ``tally`` is the stream's flush-time :meth:`TraceEventStream.tally`;
+    the line says how many events fell out of the ring and how many
+    written lines could not be read.
+    """
+    emitted = (tally or {}).get("emitted")
+    if not isinstance(emitted, int) or emitted == read:
+        return ""
+    out = f"kept {read} of {emitted} emitted events"
+    written = tally.get("kept")
+    if isinstance(written, int):
+        if written < emitted:
+            out += (
+                f"; the {emitted - written} oldest fell out of the "
+                f"{tally.get('capacity')}-event ring "
+                "(raise REPRO_OBS_EVENTS=<capacity>)"
+            )
+        if read < written:
+            out += f"; {written - read} written events could not be read"
+    return out
+
+
 def events_table(
     events: List[Dict[str, object]],
     tail: int = 8,
     tally: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Event counts per category/severity and the newest ``tail`` events.
-
-    ``tally`` is the stream's flush-time :meth:`TraceEventStream.tally`;
-    when fewer events were read than emitted, the table says how many
-    fell out of the ring and how many written lines were unreadable.
-    """
+    """Event counts per category/severity, the :func:`events_dropped_note`
+    line, and the newest ``tail`` events."""
     counts: Dict[str, int] = {}
     for event in events:
         key = f"{event.get('category')}/{event.get('severity')}"
         counts[key] = counts.get(key, 0) + 1
     rows = [[k, v] for k, v in sorted(counts.items())]
     out = _format_table(["category/severity", "count"], rows, "Trace events")
-    emitted = (tally or {}).get("emitted")
-    if isinstance(emitted, int) and emitted != len(events):
-        out += f"\nkept {len(events)} of {emitted} emitted events"
-        written = tally.get("kept")
-        if isinstance(written, int):
-            if written < emitted:
-                out += (
-                    f"; the {emitted - written} oldest fell out of the "
-                    f"{tally.get('capacity')}-event ring "
-                    "(raise REPRO_OBS_EVENTS=<capacity>)"
-                )
-            if len(events) < written:
-                out += f"; {written - len(events)} written events could not be read"
+    dropped = events_dropped_note(len(events), tally)
+    if dropped:
+        out += "\n" + dropped
     if events and tail > 0:
         out += "\nlast events:"
         for event in events[-tail:]:
@@ -153,65 +164,29 @@ def events_table(
     return out
 
 
-def _span_seconds(span: Dict[str, object]) -> Optional[float]:
-    start, end = span.get("start"), span.get("end")
-    if isinstance(start, (int, float)) and isinstance(end, (int, float)):
-        return float(end) - float(start)
-    return None
-
-
-def phases_table(spans: List[Dict[str, object]], evicted: int = 0) -> str:
-    """Wall time per ``phase.*`` span name, most expensive first.
-
-    Each row sums that phase's spans: total seconds, share of the
-    top-level phase time, span count, and mean/min/max seconds per
-    span.  A phase nested under another phase (``metadata_store``
-    under ``l2_prefetcher``) is a slice of its parent, so it gets a
-    share but does not add to the total.  Ties sort alphabetically.
-    ``evicted`` is how many older span records the tracer's ring
-    dropped; the sums then undercount, and the table says so.
-    """
-    title = "Wall-time by phase"
-    phase_ids = {
-        s.get("span_id") for s in spans
-        if str(s.get("name", "")).startswith("phase.")
-    }
-    durations: Dict[str, List[float]] = {}
-    total = 0.0
-    for span in spans:
-        name = str(span.get("name", ""))
-        seconds = _span_seconds(span)
-        if not name.startswith("phase.") or seconds is None:
-            continue
-        durations.setdefault(name[len("phase."):], []).append(seconds)
-        if span.get("parent_id") not in phase_ids:
-            total += seconds
-    if not durations:
-        table = f"== {title} ==\n(no phase spans)"
+def layers_table(block: Dict[str, object]) -> str:
+    """Host time by layer from a :func:`repro.obs.layers.summary`, most
+    samples first; malformed rows are skipped."""
+    layers = block.get("layers")
+    rows = sorted(
+        ((row["samples"], name, row.get("seconds"))
+         for name, row in (layers.items() if isinstance(layers, dict) else ())
+         if isinstance(row, dict) and isinstance(row.get("samples"), int)),
+        key=lambda row: (-row[0], row[1]),
+    )
+    total = sum(row[0] for row in rows)
+    title = "Host time by layer"
+    if not rows:
+        table = f"== {title} ==\n(no samples)"
     else:
-        phases = sorted(
-            ((name, sum(d), d) for name, d in durations.items()),
-            key=lambda row: (-row[1], row[0]),
-        )
-        rows = [
-            [
-                name,
-                f"{secs:.3f}",
-                f"{secs / total if total else 0.0:.1%}",
-                len(d),
-                f"{secs / len(d):.6f}",
-                f"{min(d):.6f}",
-                f"{max(d):.6f}",
-            ]
-            for name, secs, d in phases
-        ]
-        headers = ["phase", "seconds", "share", "spans", "mean", "min", "max"]
-        table = _format_table(headers, rows, title) + f"\ntotal: {total:.3f}s"
-    if evicted:
+        body = [[name, n, f"{n / total:.1%}", secs] for n, name, secs in rows]
+        table = _format_table(["layer", "samples", "share", "seconds"], body, title)
         table += (
-            f"\n{evicted} older span records were evicted from the ring;"
-            " the sums above undercount (raise REPRO_TRACE=<capacity>)"
+            f"\n{total} samples (one per {block.get('interval_s')} s of CPU "
+            f"time) over {block.get('wall_s')} s of wall time"
         )
+    if block.get("note"):
+        table += f"\n{block['note']}"
     return table
 
 
@@ -241,8 +216,8 @@ def render_report(
         hist_rows = [[name, json.dumps(value)] for name, value in sorted(run.metrics.items())
                      if isinstance(value, dict)]
         sections.append(_format_table(["metric", "value"], rows + hist_rows, "Metrics"))
-    if any(str(s.get("name", "")).startswith("phase.") for s in run.spans):
-        sections.append(phases_table(run.spans))
+    if run.layers:
+        sections.append(layers_table(run.layers))
     if run.problems:
         sections.append("== Problems ==\n" + "\n".join(run.problems))
     return "\n\n".join(sections)

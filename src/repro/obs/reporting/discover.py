@@ -2,7 +2,8 @@
 
 A *run directory* is whatever :meth:`repro.obs.ObsSession.flush` wrote:
 ``manifests.jsonl``, ``epochs.jsonl``, ``events.jsonl``,
-``metrics.json`` and optionally ``spans.jsonl``.  The discovery walk
+``event_counts.json``, ``layers.json``, ``metrics.json`` and optionally
+``spans.jsonl``.  The discovery walk
 also picks up ``BENCH_*.json`` benchmark trajectories anywhere in the
 tree.
 
@@ -77,6 +78,8 @@ class RunDir:
     events: List[Dict[str, object]] = field(default_factory=list)
     #: :meth:`TraceEventStream.tally` at flush time (empty when absent).
     event_counts: Dict[str, object] = field(default_factory=dict)
+    #: The host-time sampler's summary (:func:`repro.obs.layers.summary`).
+    layers: Dict[str, object] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
@@ -168,6 +171,7 @@ def load_run_dir(path) -> RunDir:
         run.problems.extend(problems)
     run.metrics = _read_object(path / "metrics.json", run.problems)
     run.event_counts = _read_object(path / "event_counts.json", run.problems)
+    run.layers = _read_object(path / "layers.json", run.problems)
     return run
 
 

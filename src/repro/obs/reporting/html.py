@@ -405,6 +405,18 @@ def _metrics_section(tree: ArtifactTree) -> str:
     return "\n".join(chunks) or "<p class='meta'>no metric dumps discovered</p>"
 
 
+def _events_section(tree: ArtifactTree) -> str:
+    """Events read per run, with ``repro report``'s ring-drop line."""
+    from repro.obs.report import events_dropped_note  # report imports this package
+
+    rows = [
+        [run.name, len(run.events),
+         events_dropped_note(len(run.events), run.event_counts) or "all kept"]
+        for run in tree.runs
+    ]
+    return page.html_table(["run", "events read", "ring"], rows)
+
+
 # -- the front door ----------------------------------------------------------
 
 
@@ -494,6 +506,7 @@ def build_report(tree: ArtifactTree, title: Optional[str] = None) -> Tuple[str, 
             "Resilience", _resilience_section(events, summaries)
         ),
         page.section("Cache economics", _cache_section(summaries)),
+        page.section("Trace events", _events_section(tree)),
         page.section("Metrics", _metrics_section(tree)),
     ]
     if tree.trajectories:

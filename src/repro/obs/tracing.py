@@ -6,12 +6,8 @@ group into **traces** via ``trace_id``.  The serving layer opens one
 trace per request (admission -> queued -> breaker gate -> execute ->
 session apply), the sweep engine opens one per cell, and the simulation
 engines attach ``sim.run`` spans underneath whichever of those is
-current.  Phase wall time lives here too, and only here: with
-``ObsSession(profile=True)`` each ``sim.run`` gets ``phase.*`` children
-(``phase.metadata_store`` nested under ``phase.l2_prefetcher`` in the
-analytic engines), and trace generation files ``phase.trace_gen``
-under the current span; :func:`repro.obs.report.phases_table` sums
-them.
+current.  Where a run's host time went inside the engines is not a span
+matter: :mod:`repro.obs.layers` samples it by layer.
 
 Determinism is the design center, mirroring the rest of the repo:
 
@@ -236,7 +232,6 @@ class Tracer:
         #: Innermost-last stack of context-managed spans.
         self._stack: List[Span] = []
         self.started = 0
-        self.finished = 0
 
     # -- span creation ----------------------------------------------------
 
@@ -272,8 +267,8 @@ class Tracer:
         ``parent`` may be a :class:`Span`, a :class:`SpanContext`
         (cross-process), or ``None`` to use the innermost
         context-managed span.  With no parent at all the span is
-        dropped (returns :data:`NULL_SPAN`): an engine phase outside
-        any trace has nothing to attach to.
+        dropped (returns :data:`NULL_SPAN`): a stage outside any trace
+        has nothing to attach to.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -341,25 +336,7 @@ class Tracer:
         span.end = t if t is not None else self.clock()
         if status is not None:
             span.status = status
-        self.finished += 1
         self._ring.append(span.to_dict())
-
-    def event(
-        self, parent, name: str, start: float, end: float, **attrs
-    ) -> Optional[Span]:
-        """Record an already-measured child span in one call.
-
-        Used to file ``phase.*`` spans after the fact: the engines
-        accumulate phase seconds with raw ``perf_counter`` deltas (too
-        hot to wrap in live spans), then file them here.  Returns the
-        finished span, so a sub-phase can be filed under it, or ``None``
-        when nothing was recorded.
-        """
-        if not self.enabled or parent is NULL_SPAN or parent is None:
-            return None
-        span = self.start_span(name, parent=parent, t=start, **attrs)
-        self.finish(span, t=end)
-        return span
 
     # -- inspection / export ----------------------------------------------
 
@@ -385,7 +362,6 @@ class Tracer:
         """
         for record in records:
             self._ring.append(dict(record))
-            self.finished += 1
 
     def write_jsonl(self, path) -> Path:
         """One finished span per line, oldest first."""

@@ -33,14 +33,17 @@ class BasePrefetcher:
     """Base class: a prefetcher that observes the L2 access stream."""
 
     name = "base"
+    #: True when the prefetcher queues off-chip metadata bytes for
+    #: :meth:`drain_metadata_traffic`; the engines drain only then.
+    offchip_metadata = False
 
     def __init__(self, degree: int = 1):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.degree = degree
         #: Bytes of off-chip metadata traffic generated since the last
-        #: :meth:`drain_metadata_traffic` call (MISB uses this; on-chip
-        #: prefetchers leave it at zero).
+        #: :meth:`drain_metadata_traffic` call (MISB uses this and sets
+        #: :attr:`offchip_metadata`; on-chip prefetchers leave it at zero).
         self.pending_metadata_bytes = 0
         #: On-chip (LLC) metadata accesses, for the energy model.
         self.metadata_llc_accesses = 0

@@ -55,6 +55,10 @@ class HybridPrefetcher(BasePrefetcher):
         for component in self.components:
             component.epoch_tick()
 
+    @property
+    def offchip_metadata(self) -> bool:
+        return any(c.offchip_metadata for c in self.components)
+
     def drain_metadata_traffic(self) -> int:
         return sum(c.drain_metadata_traffic() for c in self.components)
 

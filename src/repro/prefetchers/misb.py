@@ -87,6 +87,7 @@ class MisbPrefetcher(BasePrefetcher):
     """MISB with a configurable on-chip metadata budget (default 48 KB)."""
 
     name = "misb"
+    offchip_metadata = True
 
     def __init__(
         self,

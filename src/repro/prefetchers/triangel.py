@@ -44,7 +44,6 @@ revisited line, Triangel's never does.)
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -171,9 +170,6 @@ class TriangelPrefetcher(TriagePrefetcher):
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
         stream_pc = pc if self.config.pc_localized else 0
-        profile = self.profile
-        if profile is not None:
-            profile_start = time.perf_counter()
 
         # Same data-side glue as Triage: this event is an LLC data access
         # for the utility controller's bookkeeping.
@@ -192,8 +188,6 @@ class TriangelPrefetcher(TriagePrefetcher):
 
         if self._pending_capacity is not None:
             self._apply_pending_partition()
-        if profile is not None:
-            self.profile = profile + (time.perf_counter() - profile_start)
         return candidates
 
     # -- issue walk -----------------------------------------------------------

@@ -29,8 +29,6 @@ from repro.sim.factory import PrefetcherSpec, make_prefetcher
 from repro.sim.front_end import front_end, wrapped
 from repro.sim.single_core import (
     _MetadataPartition,
-    _finish_sim_span,
-    _metadata_store_seconds,
     _open_sim_span,
     _register_dram_metrics,
     _register_run_metrics,
@@ -198,15 +196,8 @@ def simulate_multicore(
         prev_bytes = hierarchy.traffic.total_bytes
         accesses_in_epoch = 0
 
-    profiling = session is not None and session.profile
-    t_stream = t_l1pf = t_l2pf = 0.0
-    t0 = time.perf_counter()
     steps = warmup_accesses_per_core + accesses_per_core
     fronts = [front_end(trace, config, steps) for trace in traces]
-    if profiling:
-        # The L1D passes and the stride prefetchers' training (memoized
-        # with the traces) belong to the L1 prefetcher's phase.
-        t_l1pf = time.perf_counter() - t0
     # Each core's accesses with their front-end results; a core that
     # exhausts its trace restarts it.
     streams = [
@@ -223,6 +214,7 @@ def simulate_multicore(
     access = hierarchy.access
     prefetch = hierarchy.prefetch
     feedback = [pf is not None and pf.wants_feedback for pf in prefetchers]
+    drains = [pf is not None and pf.offchip_metadata for pf in prefetchers]
     for step in range(steps):
         if step == warmup_accesses_per_core and warmup_accesses_per_core > 0:
             # Warmup ends (paper: "we warm the cache ... and measure the
@@ -250,24 +242,14 @@ def simulate_multicore(
                 hierarchy.l1_hit(core)
                 trains = False
             else:
-                if profiling:
-                    t0 = time.perf_counter()
                 hit_level, prefetch_kind = access(core, pc, line, is_write, l1)
-                if profiling:
-                    t_stream += time.perf_counter() - t0
                 # Inlined hierarchy.trains_l2_prefetcher (a call per access).
                 trains = prefetch_kind is not None or hit_level != "l2"
             if l1pf_offsets:
-                if profiling:
-                    t0 = time.perf_counter()
                 for offset in l1pf_offsets:
                     prefetch(core, line + offset, pc, "l1")
-                if profiling:
-                    t_l1pf += time.perf_counter() - t0
             pf = prefetchers[core]
             if trains and pf is not None:
-                if profiling:
-                    t0 = time.perf_counter()
                 candidates = pf.observe(
                     pc, line, prefetch_hit=prefetch_kind == "l2"
                 )
@@ -275,12 +257,11 @@ def simulate_multicore(
                     source = prefetch(core, candidate.line, pc)
                     if feedback[core]:
                         (candidate.owner or pf).feedback(candidate, source)
-                metadata_bytes = pf.drain_metadata_traffic()
-                if metadata_bytes:
-                    hierarchy.traffic.add("metadata", metadata_bytes)
-                    per_core_metadata_bytes[core] += metadata_bytes
-                if profiling:
-                    t_l2pf += time.perf_counter() - t0
+                if drains[core]:
+                    metadata_bytes = pf.drain_metadata_traffic()
+                    if metadata_bytes:
+                        hierarchy.traffic.add("metadata", metadata_bytes)
+                        per_core_metadata_bytes[core] += metadata_bytes
         accesses_in_epoch += 1
         if accesses_in_epoch >= epoch_accesses:
             close_epoch()
@@ -359,17 +340,8 @@ def simulate_multicore(
                 session, hierarchy.counters[core], core_triages[core]
             )
         _register_dram_metrics(session, dram)
-        _finish_sim_span(
-            session,
-            sim_span,
-            phases=(
-                ("l2_stream", t_stream),
-                ("l1_prefetcher", t_l1pf),
-                ("l2_prefetcher", t_l2pf, (
-                    ("metadata_store", _metadata_store_seconds(all_triages)),
-                )),
-            ),
-        )
+        if sim_span is not None:
+            session.tracer.finish(sim_span, "ok")
         run.finish(manifest)
     partition.detach()
     return result

@@ -33,10 +33,11 @@ multi-benchmark sessions do not grow memory without bound.
 Observability: when the parent has an active
 :class:`~repro.obs.ObsSession`, each worker runs its cell under a fresh
 local session and ships back a typed metrics dump, its trace events,
-epoch rows, spans and manifests; the parent folds them in **in
-cell-submission order**, so merged counters/events are deterministic
-regardless of worker scheduling.  When tracing is on, every cell runs
-under a root ``sweep.cell`` span whose ids derive from the cell's
+epoch rows, spans, manifests and, when the parent samples host time
+(:mod:`repro.obs.layers`), its own layer sample counts; the parent
+folds them in **in cell-submission order**, so merged counters/events
+are deterministic regardless of worker scheduling.  When tracing is on,
+every cell runs under a root ``sweep.cell`` span whose ids derive from the cell's
 identity token (propagated over the wire), so the merged trace tree of
 a parallel sweep is bit-identical to a serial one's.  Run manifests of parallel results are also appended
 to the always-on :data:`repro.obs.manifest.RUN_LOG` (worker-side logs
@@ -66,6 +67,7 @@ _TRANSPORT_KEYS = frozenset(
     {
         "cache_dir",
         "obs",
+        "layers",
         "faults",
         "faults_seed",
         "fault_token",
@@ -376,6 +378,9 @@ def _execute(payload: Cell) -> Dict[str, object]:
     store = cache.get_cache()
     lookups = (store.hits, store.misses) if store is not None else (0, 0)
     session = obs_mod.enable()
+    if payload.get("layers"):
+        # Interval timers do not survive fork: sample here, send home.
+        session.layers.start()
     try:
         start = time.perf_counter()
         with _cell_span(session, payload):
@@ -392,6 +397,7 @@ def _execute(payload: Cell) -> Dict[str, object]:
             "epochs": list(session.sampler.rows),
             "manifests": [m.to_dict() for m in session.manifests],
             "spans": session.tracer.records(),
+            "layers": dict(session.layers.counts),
         }
     finally:
         obs_mod.disable()
@@ -442,6 +448,7 @@ def _merge_obs(session, dump: Dict[str, object]) -> None:
     spans = dump.get("spans")
     if spans:
         session.tracer.merge(spans)
+    session.layers.merge(dump.get("layers") or {})
 
 
 def _log_manifests(result) -> None:
@@ -589,6 +596,7 @@ def run_cells(
             cells[i],
             cache_dir=str(store.root) if store is not None else None,
             obs=session is not None,
+            layers=session is not None and session.layers.running,
             faults=plan.to_spec() if plan is not None else None,
             faults_seed=plan.seed if plan is not None else 0,
             trace=wires[position] if tracing else None,

@@ -36,8 +36,6 @@ from repro.sim.queued.dram_sched import BankedDram, DramTimingParams
 from repro.sim.queued.mshr import MshrFile
 from repro.sim.single_core import (
     _MetadataPartition,
-    _finish_sim_span,
-    _metadata_store_seconds,
     _open_sim_span,
     _register_run_metrics,
     attach_observability,
@@ -154,6 +152,7 @@ def simulate_queued(
         run.sample_epoch(**row)
 
     feedback = pf is not None and pf.wants_feedback
+    drains = pf is not None and pf.offchip_metadata
     for index, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(
         zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
     ):
@@ -163,6 +162,8 @@ def simulate_queued(
             traffic_offset = hierarchy.traffic.snapshot()
             measured_start_cycle = now
             late_prefetch_hits = 0
+            dropped_prefetches = 0
+            mshrs.full_stalls = 0
         now += trace.instr_per_access * config.base_cpi
         drain_completions()
 
@@ -222,7 +223,7 @@ def simulate_queued(
                     prefetch_queue_free = done
                 elif source == "llc":
                     ready_at[candidate.line] = now + llc_latency
-            metadata_bytes = pf.drain_metadata_traffic()
+            metadata_bytes = pf.drain_metadata_traffic() if drains else 0
             if metadata_bytes:
                 hierarchy.traffic.add("metadata", metadata_bytes)
                 # Metadata transfers occupy the same bus.
@@ -282,11 +283,8 @@ def simulate_queued(
         _register_run_metrics(session, counters, triages)
         session.registry.counter("queued.dropped_prefetches").inc(dropped_prefetches)
         session.registry.counter("queued.mshr_full_stalls").inc(mshrs.full_stalls)
-        _finish_sim_span(
-            session,
-            sim_span,
-            phases=(("metadata_store", _metadata_store_seconds(triages)),),
-        )
+        if sim_span is not None:
+            session.tracer.finish(sim_span, "ok")
         run.finish(manifest)
     partition.detach()
     return result

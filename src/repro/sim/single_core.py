@@ -53,8 +53,7 @@ def attach_observability(
 
     Hooks are plain attributes defaulting to ``None``; attaching them is
     the *only* thing that makes components emit, so the disabled path
-    stays a single ``is None`` check per site.  Under a profiling
-    session each Triage's ``profile`` starts a fresh seconds count.
+    stays a single ``is None`` check per site.
     """
     for triage in triages:
         triage.events = run
@@ -62,7 +61,6 @@ def attach_observability(
         triage.store._predictor.events = run
         if triage.controller is not None:
             triage.controller.events = run
-        triage.profile = 0.0 if run.session.profile else None
     if dram is not None:
         dram.epoch_log = []
 
@@ -159,13 +157,11 @@ def simulate(
 
     session = obs if obs is not None else get_session()
     run: Optional[RunObserver] = None
-    profiling = False
     sim_span = None
     if session is not None:
         run = session.begin_run(
             name or trace.name, pf.name if pf is not None else "none"
         )
-        profiling = session.profile
         attach_observability(run, triages, dram=dram)
         sim_span = _open_sim_span(
             session, run, "analytic",
@@ -260,17 +256,12 @@ def simulate(
         prev_bytes = hierarchy.traffic.total_bytes
         accesses_in_epoch = 0
 
-    t_stream = t_l1pf = t_l2pf = 0.0
-    t0 = time.perf_counter()
     front = front_end(trace, config)
-    if profiling:
-        # The L1D pass and the stride prefetcher's training (memoized
-        # with the trace) belong to the L1 prefetcher's phase.
-        t_l1pf = time.perf_counter() - t0
     # Bound once: these run on every access.
     access = hierarchy.access
     prefetch = hierarchy.prefetch
     feedback = pf is not None and pf.wants_feedback
+    drains = pf is not None and pf.offchip_metadata
     observe = pf.observe if pf is not None else None
     for access_idx, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(
         zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
@@ -308,34 +299,23 @@ def simulate(
             hierarchy.l1_hit(0)
             trains = False
         else:
-            if profiling:
-                t0 = time.perf_counter()
             hit_level, prefetch_kind = access(0, pc, line, is_write, l1)
-            if profiling:
-                t_stream += time.perf_counter() - t0
             # Inlined hierarchy.trains_l2_prefetcher (a call per access).
             trains = prefetch_kind is not None or hit_level != "l2"
         if l1pf_offsets:
             # The stride prefetcher's prefetches for this access.
-            if profiling:
-                t0 = time.perf_counter()
             for offset in l1pf_offsets:
                 prefetch(0, line + offset, pc, "l1")
-            if profiling:
-                t_l1pf += time.perf_counter() - t0
         if trains and observe is not None:
-            if profiling:
-                t0 = time.perf_counter()
             candidates = observe(pc, line, prefetch_kind == "l2")
             for candidate in candidates:
                 source = prefetch(0, candidate.line, pc)
                 if feedback:
                     (candidate.owner or pf).feedback(candidate, source)
-            metadata_bytes = pf.drain_metadata_traffic()
-            if metadata_bytes:
-                hierarchy.traffic.add("metadata", metadata_bytes)
-            if profiling:
-                t_l2pf += time.perf_counter() - t0
+            if drains:
+                metadata_bytes = pf.drain_metadata_traffic()
+                if metadata_bytes:
+                    hierarchy.traffic.add("metadata", metadata_bytes)
         if accesses_in_epoch >= epoch_accesses:
             close_epoch()
     close_epoch()
@@ -394,17 +374,8 @@ def simulate(
     if run is not None:
         _register_run_metrics(session, counters, triages)
         _register_dram_metrics(session, dram)
-        _finish_sim_span(
-            session,
-            sim_span,
-            phases=(
-                ("l2_stream", t_stream),
-                ("l1_prefetcher", t_l1pf),
-                ("l2_prefetcher", t_l2pf, (
-                    ("metadata_store", _metadata_store_seconds(triages)),
-                )),
-            ),
-        )
+        if sim_span is not None:
+            session.tracer.finish(sim_span, "ok")
         run.finish(manifest)
     partition.detach()
     return result
@@ -424,39 +395,6 @@ def _open_sim_span(session, run, engine, workload, prefetcher, t=None):
     if tracer.current() is not None:
         return tracer.start_span("sim.run", t=t, **attrs)
     return tracer.start_trace("sim.run", run.run_id, t=t, **attrs)
-
-
-def _metadata_store_seconds(triages: List[TriagePrefetcher]) -> float:
-    """Seconds the Triage instances spent in ``observe`` (0 unprofiled)."""
-    return sum(t.profile or 0.0 for t in triages)
-
-
-def _finish_sim_span(session, span, phases=(), t=None) -> None:
-    """Close a run's ``sim.run`` span, filing its ``phase.*`` children.
-
-    Phase seconds are accumulated as raw ``perf_counter`` deltas (the
-    access loop is too hot for live span bookkeeping); they are recorded
-    as back-to-back measured segments so a waterfall still shows where
-    the run's wall time went.  A phase is ``(name, seconds)`` or
-    ``(name, seconds, sub_phases)``; sub-phases are slices of their
-    parent's time and are filed under its span.  Empty phases
-    (profiling off, component absent) are skipped, keeping
-    serial/parallel trees structurally identical.
-    """
-    if span is None:
-        return
-    _file_phases(session.tracer, span, phases)
-    session.tracer.finish(span, "ok", t=t)
-
-
-def _file_phases(tracer, parent, phases) -> None:
-    base = parent.start
-    for name, seconds, *sub_phases in phases:
-        if seconds:
-            child = tracer.event(parent, f"phase.{name}", base, base + seconds)
-            if sub_phases:
-                _file_phases(tracer, child, sub_phases[0])
-            base += seconds
 
 
 def _register_dram_metrics(session, dram) -> None:

@@ -186,6 +186,10 @@ class TestTrajectory:
         with pytest.raises(bench.BenchSchemaError, match="schema"):
             bench.validate_record(_record(schema=bench.SCHEMA_VERSION + 1))
 
+    def test_validate_rejects_a_layers_block_that_is_not_an_object(self):
+        with pytest.raises(bench.BenchSchemaError, match="layers"):
+            bench.validate_record(_record(layers=[1, 2]))
+
     def test_validate_rejects_non_numeric_kpi(self):
         with pytest.raises(bench.BenchSchemaError, match="not numeric"):
             bench.validate_record(_record(kpis={"speedup": "fast"}))
@@ -223,6 +227,24 @@ class TestBenchExperiment:
         monkeypatch.setitem(EXPERIMENTS, "stub", _StubExperiment)
         with pytest.raises(ValueError, match="repeats"):
             bench.bench_experiment("stub", repeats=0)
+
+    def test_record_carries_the_timed_repeats_layer_samples(self, monkeypatch):
+        import signal
+
+        monkeypatch.setitem(EXPERIMENTS, "sim", _SimExperiment)
+        handler = signal.getsignal(signal.SIGPROF)
+        record = bench.bench_experiment("sim", repeats=2, warmup=1)
+        assert signal.getsignal(signal.SIGPROF) is handler  # sampler stopped
+        layers = record["layers"]
+        assert layers["samples"] > 0  # 2 x 12,000 accesses of CPU time
+        assert layers["samples"] == sum(
+            row["samples"] for row in layers["layers"].values()
+        )
+        for row in layers["layers"].values():
+            assert row["seconds"] == pytest.approx(
+                row["share"] * record["wall_time_mean_s"], abs=1e-3
+            )
+        assert "note" not in layers
 
     def test_obs_session_restored(self, monkeypatch):
         monkeypatch.setitem(EXPERIMENTS, "stub", _StubExperiment)
@@ -266,6 +288,19 @@ class TestBenchExperiment:
         assert any("work counts not compared" in n for n in comparison.notes)
 
 
+class _SimExperiment(_StubExperiment):
+    """One 12,000-access simulation per run: enough CPU time to sample."""
+
+    @staticmethod
+    def run(quick=False):
+        trace = chain_trace(
+            "chain", 12_000, 1, hot_lines=3_000, cold_lines=3_000,
+            hot_fraction=0.8, noise=0.0, sequential_frac=0.0,
+        )
+        simulate(trace, "stride", machine=MachineConfig.scaled(16))
+        return _StubExperiment.run(quick)
+
+
 class _GridExperiment:
     """An experiment whose run() fans a small grid out under REPRO_JOBS."""
 
@@ -289,6 +324,16 @@ class _GridExperiment:
 
 
 class TestCompare:
+    def test_layer_samples_are_never_gated(self):
+        from repro.obs.layers import summary
+
+        base = _record(layers=summary({"memory": 5, "workloads": 1}, 1.0))
+        cand = _record(layers=summary({"memory": 50}, 2.0))
+        comparison = bench.compare_records(base, cand)
+        assert comparison.ok and not comparison.notes
+        assert not [row for row in comparison.rows if "layer" in row[0]]
+        assert bench.compare_records(_record(), cand).ok  # older record: none
+
     def test_identical_records_pass(self):
         comparison = bench.compare_records(_record(), _record())
         assert comparison.ok and not comparison.notes

@@ -1,5 +1,7 @@
 """Unit tests for MISB's metadata caching and traffic accounting."""
 
+import pytest
+
 from repro.prefetchers.misb import SP_ENTRIES_PER_LINE, MisbPrefetcher, _MetadataCache
 
 
@@ -72,3 +74,42 @@ def test_sp_lines_pack_structural_neighbors():
     feed(pf, 0xA, chain)
     sp_lines = {pf._maps._ps[x] // SP_ENTRIES_PER_LINE for x in chain}
     assert len(sp_lines) <= 2
+
+
+@pytest.mark.parametrize("engine", ["single", "multi", "queued"])
+def test_engines_drain_only_prefetchers_with_offchip_metadata(engine, monkeypatch):
+    """MISB's metadata traffic is what it was when every engine drained
+    every prefetcher on every training event; Triage is never drained."""
+    from repro.prefetchers.base import BasePrefetcher
+    from repro.sim.config import MachineConfig
+    from repro.sim.multi_core import simulate_multicore
+    from repro.sim.queued import simulate_queued
+    from repro.sim.single_core import simulate
+    from repro.workloads import spec
+
+    drained = []
+    drain = BasePrefetcher.drain_metadata_traffic
+
+    def counting_drain(self):
+        drained.append(self.name)
+        return drain(self)
+
+    monkeypatch.setattr(BasePrefetcher, "drain_metadata_traffic", counting_drain)
+    trace = spec.make_trace("mcf", n_accesses=12_000, seed=1)
+
+    def run(prefetcher):
+        if engine == "single":
+            return simulate(trace, prefetcher)
+        if engine == "queued":
+            return simulate_queued(trace, prefetcher)
+        return simulate_multicore(
+            [trace], prefetcher, machine=MachineConfig.multi_core(1)
+        ).per_core[0]
+
+    assert run("triage_1mb").traffic["metadata"] == 0
+    assert drained == []
+    misb = run("misb")
+    # Both figures measured before the engines decided once per run.
+    assert misb.traffic["metadata"] == 263_168
+    assert misb.metadata_dram_accesses == 4_112
+    assert drained and set(drained) == {"misb"}

@@ -19,7 +19,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.report import phases_table, render_report
+from repro.obs.report import layers_table, render_report
 from repro.obs.reporting.discover import load_run_dir
 from repro.obs.sampler import EpochSampler
 from repro.sim.config import MachineConfig
@@ -51,24 +51,11 @@ def small_trace(n=12_000, seed=1):
     return trace
 
 
-def phase_span(name, seconds, start=0.0, span_id=None, parent_id="run"):
-    """A synthetic finished ``phase.<name>`` span record."""
-    return {
-        "trace_id": "t",
-        "span_id": span_id or f"{name}@{start}",
-        "parent_id": parent_id,
-        "name": f"phase.{name}",
-        "start": start,
-        "end": start + seconds,
-        "status": "ok",
-    }
-
-
 def table_rows(table):
-    """``{phase: [seconds, share, spans, mean, min, max]}`` of a phase table."""
+    """``{layer: [samples, share, seconds]}`` of a layer table."""
     rows = {}
     for line in table.splitlines()[3:]:  # after title, header and rule
-        if line.startswith("total:"):
+        if not line or not line[0].isalpha() or line.startswith("not sampled"):
             break
         name, *cells = line.split()
         rows[name] = cells
@@ -298,59 +285,6 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------------
-# profiling
-# ---------------------------------------------------------------------------
-
-
-class TestProfiling:
-    def test_phase_accumulates(self):
-        spans = [
-            phase_span("trace_gen", 0.25),
-            phase_span("l2_stream", 1.5, start=1.0),
-            phase_span("l2_stream", 0.5, start=3.0),
-            {"trace_id": "t", "span_id": "run", "parent_id": "",
-             "name": "sim.run", "start": 0.0, "end": 9.0, "status": "ok"},
-        ]
-        rows = table_rows(phases_table(spans))
-        assert set(rows) == {"l2_stream", "trace_gen"}  # sim.run is no phase
-        assert rows["l2_stream"][:3] == ["2.000", "88.9%", "2"]
-        assert rows["trace_gen"][:3] == ["0.250", "11.1%", "1"]
-        assert "total: 2.250s" in phases_table(spans)
-
-    def test_printed_seconds_are_span_sums(self):
-        durations = {"l2_stream": [0.1231, 0.5, 0.0001], "l1_prefetcher": [0.7]}
-        spans = [
-            phase_span(name, seconds, start=float(i))
-            for name, values in durations.items()
-            for i, seconds in enumerate(values)
-        ]
-        rows = table_rows(phases_table(spans))
-        for name in durations:
-            total = sum(
-                s["end"] - s["start"] for s in spans if s["name"] == f"phase.{name}"
-            )
-            assert rows[name][0] == f"{total:.3f}"
-
-    def test_nested_phase_is_a_slice_not_extra_time(self):
-        spans = [
-            phase_span("l2_prefetcher", 2.0, span_id="l2pf"),
-            phase_span("metadata_store", 1.0, parent_id="l2pf"),
-            phase_span("l2_stream", 2.0, start=2.0),
-        ]
-        table = phases_table(spans)
-        assert "total: 4.000s" in table
-        assert table_rows(table)["metadata_store"][:2] == ["1.000", "25.0%"]
-
-    def test_no_phase_spans(self):
-        assert "(no phase spans)" in phases_table([])
-
-    def test_torn_span_records_are_skipped(self):
-        torn = {"name": "phase.l2_stream", "start": 0.0}  # no end
-        rows = table_rows(phases_table([torn, phase_span("l2_stream", 1.0)]))
-        assert rows["l2_stream"][:3] == ["1.000", "100.0%", "1"]
-
-
-# ---------------------------------------------------------------------------
 # simulator integration
 # ---------------------------------------------------------------------------
 
@@ -418,53 +352,32 @@ class TestSimulatorIntegration:
         assert len(explicit.sampler) > 0
         drain_run_log()
 
-    def test_profile_phase_attribution(self):
-        trace = small_trace(n=6_000)
-        session = obs.ObsSession(profile=True, trace=False)
-        assert session.tracer.enabled  # profiling turns tracing on
-        simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
-        rows = table_rows(phases_table(session.tracer.records()))
-        assert {"l2_stream", "l2_prefetcher", "metadata_store"} <= set(rows)
-        drain_run_log()
-
     @pytest.mark.parametrize("engine", ["single", "multi", "queued"])
     def test_profiled_run_span_tree(self, engine):
+        """Under the layer sampler every engine still files one childless
+        ``sim.run`` span: host time goes to the sampler, not to spans."""
         from repro.sim.multi_core import simulate_multicore
         from repro.sim.queued import simulate_queued
 
         trace = small_trace(n=6_000)
-        session = obs.ObsSession(profile=True)
-        if engine == "single":
-            simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
-        elif engine == "multi":
-            simulate_multicore(
-                [trace, small_trace(n=6_000, seed=2)], triage_cfg,
-                machine=MachineConfig.scaled(16, n_cores=2),
-                accesses_per_core=3_000, obs=session,
-            )
-        else:
-            simulate_queued(trace, triage_cfg(), machine=MACHINE, obs=session)
+        session = obs.ObsSession(trace=True)
+        assert session.layers.start()
+        try:
+            if engine == "single":
+                simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
+            elif engine == "multi":
+                simulate_multicore(
+                    [trace, small_trace(n=6_000, seed=2)], triage_cfg,
+                    machine=MachineConfig.scaled(16, n_cores=2),
+                    accesses_per_core=3_000, obs=session,
+                )
+            else:
+                simulate_queued(trace, triage_cfg(), machine=MACHINE, obs=session)
+        finally:
+            session.layers.stop()
         records = session.tracer.records()
-        by_id = {r["span_id"]: r for r in records}
-        (run,) = [r for r in records if r["name"] == "sim.run"]
-        tree = sorted(
-            (by_id[r["parent_id"]]["name"], r["name"])
-            for r in records if r is not run
-        )
-        if engine == "queued":
-            # The queued engine times only the metadata store.
-            assert tree == [("sim.run", "phase.metadata_store")]
-        else:
-            assert tree == [
-                ("phase.l2_prefetcher", "phase.metadata_store"),
-                ("sim.run", "phase.l1_prefetcher"),
-                ("sim.run", "phase.l2_prefetcher"),
-                ("sim.run", "phase.l2_stream"),
-            ]
-        seconds = {r["name"]: r["end"] - r["start"] for r in records}
-        assert seconds["phase.metadata_store"] > 0
-        if engine != "queued":
-            assert seconds["phase.metadata_store"] <= seconds["phase.l2_prefetcher"]
+        assert [r["name"] for r in records] == ["sim.run"]
+        assert records[0]["parent_id"] == ""
         drain_run_log()
 
     def test_unprofiled_run_files_no_phase_spans(self):
@@ -473,19 +386,38 @@ class TestSimulatorIntegration:
         assert [r["name"] for r in session.tracer.records()] == ["sim.run"]
         drain_run_log()
 
-    def test_report_renders_phase_table_from_spans(self, tmp_path):
-        session = obs.ObsSession(profile=True, out_dir=tmp_path)
-        simulate(small_trace(n=6_000), triage_cfg(), machine=MACHINE, obs=session)
-        session.flush()
-        assert not (tmp_path / "profile.txt").exists()
-        expected = phases_table(session.tracer.records())
-        assert expected in render_report(tmp_path)
+    def test_report_renders_the_layer_table_from_layers_json(self, tmp_path):
+        with obs.session(out_dir=tmp_path) as session:
+            assert session.layers.running  # an out_dir session samples
+            simulate(small_trace(n=6_000), triage_cfg(), machine=MACHINE)
+            paths = session.flush()
+        block = json.loads(paths["layers"].read_text())
+        assert block["samples"] == sum(row["samples"] for row in block["layers"].values())
+        assert layers_table(block) in render_report(tmp_path)
         drain_run_log()
 
-    def test_profile_cli_prints_every_phase(self, monkeypatch, capsys):
-        from repro.__main__ import main
-        from repro.experiments import common
+    def test_torn_layers_json_is_a_problem_not_a_crash(self, tmp_path):
+        session = obs.ObsSession(out_dir=tmp_path)
+        session.flush()
+        layers = tmp_path / "layers.json"
+        layers.write_text(layers.read_text()[:10])
+        report = render_report(tmp_path)
+        assert "Host time by layer" not in report
+        assert "layers.json: unreadable or malformed" in report
 
+    def test_profile_cli_prints_the_layer_table(self, monkeypatch, capsys):
+        import types
+
+        from repro.__main__ import main
+        from repro.experiments import registry
+
+        def run(quick=False):
+            simulate(small_trace(), triage_cfg(), machine=MACHINE)
+            return "tiny table"
+
+        monkeypatch.setitem(
+            registry.EXPERIMENTS, "tiny", types.SimpleNamespace(run=run)
+        )
         sessions = []
         enable = obs.enable
 
@@ -494,18 +426,18 @@ class TestSimulatorIntegration:
             return sessions[-1]
 
         monkeypatch.setattr(obs, "enable", recording_enable)
-        common.clear_caches()  # so trace_gen runs
-        assert main(["profile", "fig19", "--quick"]) == 0
+        assert main(["profile", "tiny", "--quick"]) == 0
         out = capsys.readouterr().out
-        table = out[out.index("== Wall-time by phase =="):].rstrip("\n")
-        assert set(table_rows(table)) == {
-            "trace_gen", "l2_stream", "l1_prefetcher", "l2_prefetcher",
-            "metadata_store",
-        }
-        # Every number printed comes from the session's span records.
+        table = out[out.index("== Host time by layer =="):].rstrip("\n")
+        # The table is the session sampler's, and it stopped on exit.
         (session,) = sessions
-        assert table == phases_table(session.tracer.records())
-        common.clear_caches()
+        assert not session.layers.running
+        assert table == layers_table(session.layers.to_dict())
+        rows = table_rows(table)
+        assert rows  # 12,000 accesses take tens of 5 ms CPU ticks
+        assert sum(int(cells[0]) for cells in rows.values()) == sum(
+            session.layers.counts.values()
+        )
         drain_run_log()
 
 
@@ -634,44 +566,3 @@ class TestReportRobustness:
         assert result.manifest.host == machine_fingerprint()
         assert machine_fingerprint() == machine_fingerprint()
         drain_run_log()
-
-
-# ---------------------------------------------------------------------------
-# phase table spread statistics
-# ---------------------------------------------------------------------------
-
-
-class TestPhaseSpread:
-    def test_mean_min_max_tracked(self):
-        spans = [
-            phase_span("l2", 1.0),
-            phase_span("l2", 3.0, start=1.0),
-            phase_span("dram", 2.0, start=4.0),
-        ]
-        table = phases_table(spans)
-        assert table.splitlines()[3].split()[0] == "l2"  # most expensive first
-        assert table_rows(table)["l2"] == [
-            "4.000", "66.7%", "2", "2.000000", "1.000000", "3.000000",
-        ]
-
-    def test_single_span_is_its_own_mean_min_max(self):
-        _, _, count, mean, lo, hi = table_rows(
-            phases_table([phase_span("x", 2.5)])
-        )["x"]
-        assert count == "1"
-        assert mean == lo == hi == "2.500000"
-
-    def test_sort_is_stable_on_ties(self):
-        table = phases_table([phase_span("zeta", 1.0), phase_span("alpha", 1.0)])
-        assert list(table_rows(table)) == ["alpha", "zeta"]
-
-    def test_table_shows_spread_columns(self):
-        header = phases_table([phase_span("l2", 1.0)]).splitlines()[1]
-        assert header.split() == [
-            "phase", "seconds", "share", "spans", "mean", "min", "max",
-        ]
-
-    def test_evicted_records_are_reported(self):
-        table = phases_table([phase_span("l2", 1.0)], evicted=3)
-        assert "3 older span records were evicted" in table
-        assert "evicted" not in phases_table([phase_span("l2", 1.0)])

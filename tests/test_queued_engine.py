@@ -138,3 +138,39 @@ def test_queued_engine_warmup():
     warmed = simulate_queued(trace, None, machine=MACHINE, warmup_accesses=4_000)
     assert warmed.counters.accesses == 6_000
     assert warmed.cycles > 0
+
+
+class _StallEveryOtherMiss(MshrFile):
+    """Reports the file full on every other new miss.
+
+    The engine retires each entry as soon as it allocates it, so a real
+    file never fills; this one makes ``full_stalls`` count something.
+    """
+
+    def allocate(self, line, cycle, is_prefetch=False):
+        self._stall = not getattr(self, "_stall", False)
+        if self._stall:
+            self.full_stalls += 1
+            return None
+        return super().allocate(line, cycle, is_prefetch)
+
+
+def test_warmed_run_counts_only_measured_window_drops_and_stalls(monkeypatch):
+    from repro.sim.queued import engine
+    from repro.workloads import spec
+
+    monkeypatch.setattr(engine, "MshrFile", _StallEveryOtherMiss)
+    trace = spec.make_trace("gcc", n_accesses=6_000, seed=1)
+    whole = simulate_queued(trace, "bo")
+    # The engine is causal: a run of the first 3,000 accesses counts
+    # exactly what the warmup window of the longer run does.
+    warmup = simulate_queued(trace.head(3_000), "bo")
+    warmed = simulate_queued(trace, "bo", warmup_accesses=3_000)
+    assert 0 < warmup.dropped_prefetches < whole.dropped_prefetches
+    assert warmed.dropped_prefetches == (
+        whole.dropped_prefetches - warmup.dropped_prefetches
+    )
+    assert 0 < warmup.mshr_full_stalls < whole.mshr_full_stalls
+    assert warmed.mshr_full_stalls == (
+        whole.mshr_full_stalls - warmup.mshr_full_stalls
+    )

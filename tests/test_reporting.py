@@ -452,6 +452,28 @@ def test_analyze_trajectory_single_record_is_ok(tmp_path):
     assert self_containment_violations(html) == []
 
 
+def test_html_report_says_how_many_events_fell_out_of_the_ring(tmp_path):
+    """The HTML report prints the same ring-drop line as ``repro report``."""
+    from repro.obs.report import render_report
+    from repro.sim.single_core import simulate
+    from repro.workloads import spec
+
+    session = obs.ObsSession(event_capacity=7)
+    simulate(spec.make_trace("mcf", n_accesses=6_000, seed=1), "stride",
+             obs=session)  # a run manifest for the report to stand on
+    for i in range(10):
+        session.events.emit("test.tick", i=i)
+    session.flush(tmp_path)
+    emitted = session.events.tally()["emitted"]
+    line = (
+        f"kept 7 of {emitted} emitted events; the {emitted - 7} oldest fell "
+        "out of the 7-event ring"
+    )
+    assert line in render_report(tmp_path)
+    html = pathlib.Path(generate_report(tmp_path)["html"]).read_text()
+    assert line in html
+
+
 # -- CLI ----------------------------------------------------------------------
 
 

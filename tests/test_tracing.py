@@ -134,7 +134,7 @@ class TestDisabledPath:
             with tracer.span("child") as child:
                 pass
         assert root is NULL_SPAN and child is NULL_SPAN
-        tracer.event(root, "phase.x", 0.0, 1.0)
+        tracer.finish(tracer.start_span("late", parent=root, t=0.0), t=1.0)
         assert tracer.started == 0
         assert len(tracer) == 0 and tracer.records() == []
 
