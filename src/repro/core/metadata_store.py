@@ -93,10 +93,8 @@ class MetadataStore:
         #: eviction and resize invalidate near copies explicitly.
         self._near: "OrderedDict[int, MetadataEntry]" = OrderedDict()
         self._near_capacity = near_entries if index_mode == "nonuniform" else 0
-        #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached by the simulation engine when tracing is enabled.
-        self.events = None
-        self._predictor = HawkeyePredictor()  # persists across resizes
+        #: Hawkeye's PC predictor; persists across resizes.
+        self.predictor = HawkeyePredictor()
         self.tag_table = CompressedTagTable(tag_bits) if use_compressed_tags else None
         self.track_reuse = track_reuse
         self.reuse_counts: Dict[int, int] = {}
@@ -155,14 +153,6 @@ class MetadataStore:
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
         old_entries = self.entries()
-        if self.events is not None:
-            self.events.emit(
-                "meta_store.resize",
-                "info",
-                old_bytes=self.capacity_bytes,
-                new_bytes=capacity_bytes,
-                survivors=len(old_entries),
-            )
         self.capacity_bytes = capacity_bytes
         self._near.clear()  # near copies would go stale across re-indexing
         self.num_sets = _floor_pow2(capacity_bytes // (ENTRY_BYTES * ENTRIES_PER_LINE))
@@ -176,7 +166,7 @@ class MetadataStore:
             self._policy = self._hawkeye = HawkeyePolicy(
                 self.num_sets,
                 ENTRIES_PER_LINE,
-                predictor=self._predictor,
+                predictor=self.predictor,
                 auto_observe=False,
             )
             self._sample_stride = self._hawkeye.sample_stride
@@ -278,14 +268,6 @@ class MetadataStore:
                 self._near.pop(victim.trigger, None)  # drop stale near copy
                 policy.on_evict(set_idx, way)
                 self.evictions += 1
-                if self.events is not None:
-                    self.events.emit(
-                        "meta_store.evict",
-                        "debug",
-                        set=set_idx,
-                        way=way,
-                        trigger=victim.trigger,
-                    )
                 row[way] = entry
             entries[trigger] = entry
             policy.on_fill(set_idx, way, pc)

@@ -79,9 +79,6 @@ class PartitionController:
         self._ema_large: Optional[float] = None
         self._low_epochs = 0  # consecutive epochs arguing for allocation 0
         self.decisions = []  # history of PartitionDecision, for Figure 19
-        #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached by the simulation engine when tracing is enabled.
-        self.events = None
 
     @property
     def capacity_bytes(self) -> int:
@@ -150,13 +147,4 @@ class PartitionController:
             large_hit_rate=r_large,
         )
         self.decisions.append(decision)
-        if self.events is not None:
-            self.events.emit(
-                "partition.decision",
-                "info" if decision.changed else "debug",
-                capacity_bytes=decision.capacity_bytes,
-                changed=decision.changed,
-                small_hit_rate=round(r_small, 4),
-                large_hit_rate=round(r_large, 4),
-            )
         return decision

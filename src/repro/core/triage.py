@@ -136,7 +136,8 @@ class TriagePrefetcher(BasePrefetcher):
         self.on_partition_change = on_partition_change
         self._pending_capacity: Optional[int] = None
         #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached by the simulation engine when observability is on.
+        #: attached by the simulation engine when observability is on; it
+        #: receives one ``partition.apply`` event per resize.
         self.events = None
 
     # -- prefetcher interface -------------------------------------------------
@@ -210,11 +211,18 @@ class TriagePrefetcher(BasePrefetcher):
         one is pending) and tell the engine to move the LLC ways."""
         pending = self._pending_capacity
         self._pending_capacity = None
+        old_bytes = self.store.capacity_bytes
         self.store.resize(pending)
         if self.on_partition_change is not None:
             self.on_partition_change(pending)
         if self.events is not None:
-            self.events.emit("partition.apply", "info", capacity_bytes=pending)
+            self.events.emit(
+                "partition.apply",
+                "info",
+                capacity_bytes=pending,
+                old_bytes=old_bytes,
+                survivors=self.store.occupancy(),
+            )
 
     @property
     def metadata_capacity_bytes(self) -> int:

@@ -76,9 +76,6 @@ class UtilityPartitionController:
         self._meta_snaps = [0, 0, 0]
         self._data_snaps = [0, 0, 0]
         self.decisions = []
-        #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached by the simulation engine when tracing is enabled.
-        self.events = None
 
     @property
     def capacity_bytes(self) -> int:
@@ -139,13 +136,4 @@ class UtilityPartitionController:
             large_hit_rate=meta_hits[2] / max(1, meta_accesses),
         )
         self.decisions.append(decision)
-        if self.events is not None:
-            self.events.emit(
-                "partition.decision",
-                "info" if decision.changed else "debug",
-                capacity_bytes=decision.capacity_bytes,
-                changed=decision.changed,
-                small_hit_rate=round(decision.small_hit_rate, 4),
-                large_hit_rate=round(decision.large_hit_rate, 4),
-            )
         return decision

@@ -1,8 +1,8 @@
 """Extension: cross-validate the analytic and queued timing engines.
 
 The analytic engine (closed-form epoch timing) is what every figure
-harness uses, because it is fast.  The queued engine models MSHRs,
-banked DRAM and real prefetch arrival times.  If the reproduction's
+harness uses, because it is fast.  The queued engine models the
+out-of-order window, banked DRAM and real prefetch arrival times.  If the reproduction's
 conclusions are robust, the two engines must agree on *orderings* --
 who wins on each benchmark -- even where absolute speedups differ
 (the queued engine discounts late prefetches, pulling Triage's numbers
@@ -10,8 +10,8 @@ toward the paper's).
 
 Triangel rides the same grid: the head-to-head experiment
 (``ext_triangel``) ranks it on the analytic engine only, so this table
-is where its advantage over Triage is shown to survive MSHR occupancy
-and real prefetch timing.
+is where its advantage over Triage is shown to survive a bounded miss
+window and real prefetch timing.
 """
 
 from __future__ import annotations

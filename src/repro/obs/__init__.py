@@ -11,8 +11,8 @@ taxing the default path:
 * :mod:`repro.obs.sampler` -- an epoch time-series sampler whose rows
   export to JSONL/CSV;
 * :mod:`repro.obs.events` -- a ring-buffered structured trace-event
-  stream (partition re-decisions, Hawkeye training flips, metadata
-  evictions) with severity/category filtering;
+  stream (partition changes, sweep retries and cell timings) with
+  severity/category filtering;
 * :mod:`repro.obs.tracing` -- causal spans (trace/span/parent ids,
   derived deterministically from seeded tokens) with JSONL export, the
   per-request / per-cell waterfall source;

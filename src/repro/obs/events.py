@@ -1,11 +1,13 @@
 """Ring-buffered structured trace events with severity/category filters.
 
 Discrete happenings that a time-series cannot capture -- a partition
-re-decision, a Hawkeye prediction flip, a metadata eviction -- are
-emitted as :class:`TraceEvent` records into a bounded ring buffer (old
-events fall off rather than growing memory without bound on long runs).
-Producers are component hooks (``store.events.emit(...)``) that the
-simulation engines attach only when observability is on.
+change taking effect, a sweep cell retried or finished -- are emitted as
+:class:`TraceEvent` records into a bounded ring buffer (old events fall
+off rather than growing memory without bound on long runs).  Anything
+that happens per access or per epoch (store evictions, Hawkeye flips,
+partition decisions) is an epoch column instead, so a run's events fit
+the ring.  The simulator's one producer is Triage's ``events`` hook,
+which the engines attach only when observability is on.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class TraceEventStream:
 
     ``categories=None`` admits every category; otherwise only listed
     category *prefixes* pass (``"partition"`` admits
-    ``"partition.decision"``).  ``min_severity`` drops anything below the
+    ``"partition.apply"``).  ``min_severity`` drops anything below the
     given level.  ``emitted`` counts accepted events even after they age
     out of the ring; ``filtered`` counts rejected ones.
     """

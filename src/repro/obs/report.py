@@ -11,8 +11,9 @@ torn or garbled lines are skipped and listed under "Problems".
 
 The epoch table is the diagnosis tool for diverging figures: it shows,
 per run and per epoch, the per-core metadata way split, store hit rate,
-DRAM utilization and coverage -- the internal trajectory behind the
-end-of-run aggregate (see ``docs/observability.md``).
+the partition sandboxes' predicted hit rates, DRAM utilization and
+coverage -- the internal trajectory behind the end-of-run aggregate (see
+``docs/observability.md``).
 
 :func:`layers_table` renders a host-time sampler's counts
 (:mod:`repro.obs.layers`); ``repro report`` prints it from
@@ -35,6 +36,8 @@ _DEFAULT_SUFFIXES = (
     "llc_data_ways",
     "meta_capacity_bytes",
     "meta_hit_rate",
+    "sandbox_small_hit_rate",
+    "sandbox_large_hit_rate",
     "dram_utilization",
     "coverage",
 )

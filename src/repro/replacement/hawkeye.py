@@ -35,10 +35,9 @@ class HawkeyePredictor:
     def __init__(self, table_bits: int = 13):
         self.mask = (1 << table_bits) - 1
         self._counters: Dict[int, int] = {}
-        #: Optional observability sink (``.emit(category, severity, **f)``),
-        #: attached when tracing is on; flips of a PC's prediction between
-        #: cache-friendly and cache-averse are emitted as events.
-        self.events = None
+        #: Trainings that moved a counter across the threshold, flipping
+        #: its PC between cache-friendly and cache-averse.
+        self.flips = 0
 
     def _index(self, pc: int) -> int:
         return (pc ^ (pc >> 13) ^ (pc >> 26)) & self.mask
@@ -53,10 +52,8 @@ class HawkeyePredictor:
         else:
             value = max(0, value - 1)
         self._counters[idx] = value
-        if self.events is not None and (value >= self.THRESHOLD) != was_friendly:
-            self.events.emit(
-                "hawkeye.flip", "debug", pc=pc, friendly=value >= self.THRESHOLD
-            )
+        if (value >= self.THRESHOLD) != was_friendly:
+            self.flips += 1
 
     def predict(self, pc: int) -> bool:
         """Return ``True`` when loads by ``pc`` are predicted friendly."""

@@ -28,6 +28,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.factory import PrefetcherSpec, make_prefetcher
 from repro.sim.front_end import front_end, wrapped
 from repro.sim.single_core import (
+    TriageColumns,
     _MetadataPartition,
     _open_sim_span,
     _register_dram_metrics,
@@ -109,7 +110,7 @@ def simulate_multicore(
             prefetchers[0].name if prefetchers[0] is not None else "none",
             t=wall_start,
         )
-    prev_store = [(0, 0) for _ in range(n_cores)]  # (lookups, hits) per core
+    columns = TriageColumns(config, core_triages)
 
     per_core_metadata_bytes = [0] * n_cores
     per_core_cycles = [0.0] * n_cores
@@ -135,19 +136,7 @@ def simulate_multicore(
             prefix = f"c{core}."
             row[prefix + "cycles"] = cycles[core]
             row[prefix + "dram_accesses"] = loads[core].dram_accesses
-            lookups = sum(t.store.lookups for t in core_triages[core])
-            hits = sum(t.store.lookup_hits for t in core_triages[core])
-            d_lookups = lookups - prev_store[core][0]
-            d_hits = hits - prev_store[core][1]
-            prev_store[core] = (lookups, hits)
-            capacity = sum(
-                t.store.capacity_bytes
-                for t in core_triages[core]
-                if not t.store.unbounded
-            )
-            row[prefix + "meta_capacity_bytes"] = capacity
-            row[prefix + "meta_ways"] = config.metadata_ways(capacity)
-            row[prefix + "meta_hit_rate"] = d_hits / d_lookups if d_lookups else 0.0
+        columns.fill(row)
         session.registry.histogram("dram.epoch_utilization_pct").observe(
             int(row["dram_utilization"] * 100)
         )
@@ -230,11 +219,7 @@ def simulate_multicore(
             in_warmup = False
             if dram.epoch_log:
                 dram.epoch_log.clear()
-            for core in range(n_cores):
-                prev_store[core] = (
-                    sum(t.store.lookups for t in core_triages[core]),
-                    sum(t.store.lookup_hits for t in core_triages[core]),
-                )
+            columns.mark()
         for core in range(n_cores):
             pc, addr, is_write, l1, l1pf_offsets = next(streams[core])
             line = addr >> 6

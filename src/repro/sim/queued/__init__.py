@@ -2,11 +2,11 @@
 
 The analytic model in :mod:`repro.sim.timing` converts miss counts into
 cycles with closed-form formulas.  This package provides the alternative
-the paper's multi-core evaluation used (ChampSim-style): demand and
-prefetch requests flow through finite MSHRs and FIFO queues into a
-banked DRAM with a shared data bus, demands outrank prefetches, and a
-prefetch only helps if it *arrives before* its demand -- late prefetches
-are modeled, not assumed away.
+the paper's multi-core evaluation used (ChampSim-style): demand misses
+are bounded by the out-of-order window, prefetches by a bounded queue,
+both go to a banked DRAM with a shared data bus, and a prefetch only
+helps if it *arrives before* its demand -- late prefetches are modeled,
+not assumed away.
 
 Use it through :func:`repro.sim.queued.engine.simulate_queued`, which
 returns the same :class:`~repro.sim.stats.SimulationResult` as the
@@ -14,8 +14,7 @@ analytic engine so results are directly comparable (see
 ``experiments/ext_engine_validation.py``).
 """
 
-from repro.sim.queued.mshr import MshrFile
 from repro.sim.queued.dram_sched import BankedDram
 from repro.sim.queued.engine import simulate_queued
 
-__all__ = ["BankedDram", "MshrFile", "simulate_queued"]
+__all__ = ["BankedDram", "simulate_queued"]

@@ -2,7 +2,9 @@
 
 Differences from the analytic engine (:mod:`repro.sim.single_core`):
 
-* **MSHRs** bound outstanding misses; a full file stalls the core.
+* **The out-of-order window** bounds outstanding demand misses at
+  ``round(trace.mlp)`` (at most 8 on the shipped traces); a full window
+  stalls the core until the oldest miss completes.
 * **DRAM** is the banked, shared-bus scheduler of
   :mod:`repro.sim.queued.dram_sched` -- latency emerges from contention.
 * **Prefetch timeliness is real**: a prefetched line records when its
@@ -33,8 +35,8 @@ from repro.sim.config import MachineConfig
 from repro.sim.factory import PrefetcherSpec, make_prefetcher
 from repro.sim.front_end import front_end
 from repro.sim.queued.dram_sched import BankedDram, DramTimingParams
-from repro.sim.queued.mshr import MshrFile
 from repro.sim.single_core import (
+    TriageColumns,
     _MetadataPartition,
     _open_sim_span,
     _register_run_metrics,
@@ -54,7 +56,6 @@ def simulate_queued(
     prefetcher: PrefetcherSpec = None,
     machine: Optional[MachineConfig] = None,
     degree: int = 1,
-    mshr_entries: int = 16,
     prefetch_queue_depth: int = 16,
     charge_metadata_to_llc: bool = True,
     warmup_accesses: int = 0,
@@ -95,6 +96,7 @@ def simulate_queued(
             name or trace.name, pf.name if pf is not None else "none",
             t=wall_start,
         )
+    columns = TriageColumns(config, [triages])
 
     dram = BankedDram(
         DramTimingParams(
@@ -102,7 +104,6 @@ def simulate_queued(
             base_latency=max(10.0, config.dram_latency_cycles - 104.0),
         )
     )
-    mshrs = MshrFile(mshr_entries)
     # The out-of-order window sustains roughly trace.mlp concurrent
     # demand misses: more makes the core stall on the window, as real
     # pointer chases do.
@@ -141,14 +142,9 @@ def simulate_queued(
             "coverage": useful / would_miss if would_miss else 0.0,
             "late_prefetch_hits": late_prefetch_hits,
             "dropped_prefetches": dropped_prefetches,
-            "mshr_full_stalls": mshrs.full_stalls,
             "llc_data_ways": hierarchy.llc.active_ways,
         }
-        for i, triage in enumerate(triages):
-            capacity = 0 if triage.store.unbounded else triage.store.capacity_bytes
-            prefix = f"c0.t{i}." if len(triages) > 1 else "c0."
-            row[prefix + "meta_capacity_bytes"] = capacity
-            row[prefix + "meta_ways"] = config.metadata_ways(capacity)
+        columns.fill(row)
         run.sample_epoch(**row)
 
     feedback = pf is not None and pf.wants_feedback
@@ -163,7 +159,6 @@ def simulate_queued(
             measured_start_cycle = now
             late_prefetch_hits = 0
             dropped_prefetches = 0
-            mshrs.full_stalls = 0
         now += trace.instr_per_access * config.base_cpi
         drain_completions()
 
@@ -188,16 +183,7 @@ def simulate_queued(
             heapq.heappush(outstanding, now + llc_latency)
         else:  # DRAM
             wait_for_window()
-            entry = mshrs.allocate(line, now)
-            while entry is None:  # MSHR full: stall one completion
-                if outstanding:
-                    now = max(now, heapq.heappop(outstanding))
-                else:
-                    now += 1.0
-                entry = mshrs.allocate(line, now)
-            done = dram.service(line, now, is_write=False)
-            mshrs.complete(line)
-            heapq.heappush(outstanding, done)
+            heapq.heappush(outstanding, dram.service(line, now, is_write=False))
 
         for offset in l1pf_offsets:
             target = line + offset
@@ -259,7 +245,6 @@ def simulate_queued(
         extra={
             "engine": "queued",
             "degree": degree,
-            "mshr_entries": mshr_entries,
             "prefetch_queue_depth": prefetch_queue_depth,
         },
     )
@@ -278,11 +263,9 @@ def simulate_queued(
     # Engine-specific extras travel in the counters-adjacent fields.
     result.late_prefetch_hits = late_prefetch_hits
     result.dropped_prefetches = dropped_prefetches
-    result.mshr_full_stalls = mshrs.full_stalls
     if run is not None:
         _register_run_metrics(session, counters, triages)
         session.registry.counter("queued.dropped_prefetches").inc(dropped_prefetches)
-        session.registry.counter("queued.mshr_full_stalls").inc(mshrs.full_stalls)
         if sim_span is not None:
             session.tracer.finish(sim_span, "ok")
         run.finish(manifest)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.triage import TriagePrefetcher
 from repro.memory.dram import DramModel
@@ -49,20 +49,88 @@ def attach_observability(
     triages: List[TriagePrefetcher],
     dram=None,
 ) -> None:
-    """Point component observability hooks at an observed run.
+    """Point Triage's ``partition.apply`` hook at an observed run.
 
-    Hooks are plain attributes defaulting to ``None``; attaching them is
-    the *only* thing that makes components emit, so the disabled path
-    stays a single ``is None`` check per site.
+    The hook is a plain attribute defaulting to ``None``; attaching it is
+    the *only* thing that makes Triage emit, so the disabled path stays a
+    single ``is None`` check per resize.
     """
     for triage in triages:
         triage.events = run
-        triage.store.events = run
-        triage.store._predictor.events = run
-        if triage.controller is not None:
-            triage.controller.events = run
     if dram is not None:
         dram.epoch_log = []
+
+
+class TriageColumns:
+    """Every engine's per-Triage epoch columns.
+
+    Each Triage instance gets columns prefixed ``c<core>.``, or
+    ``c<core>.t<i>.`` when a core's hybrid carries several:
+    ``meta_capacity_bytes``, ``meta_ways`` and ``meta_occupancy`` as they
+    stand; ``meta_hit_rate``, ``meta_evictions`` and
+    ``meta_hawkeye_flips`` over the accesses since the previous row; and
+    with a dynamic controller, ``partition_decisions`` since the previous
+    row plus the last decision's ``sandbox_small_hit_rate`` and
+    ``sandbox_large_hit_rate`` (``None`` before the first decision).
+    These rows are the only record of store evictions, Hawkeye flips and
+    partition decisions.
+    """
+
+    def __init__(
+        self,
+        config: MachineConfig,
+        core_triages: Sequence[Sequence[TriagePrefetcher]],
+    ):
+        self.config = config
+        self._columns = [
+            (f"c{core}.t{i}." if len(triages) > 1 else f"c{core}.", triage)
+            for core, triages in enumerate(core_triages)
+            for i, triage in enumerate(triages)
+        ]
+        self._prev = [(0, 0, 0, 0, 0)] * len(self._columns)
+
+    @staticmethod
+    def _counts(triage: TriagePrefetcher) -> tuple:
+        store = triage.store
+        controller = triage.controller
+        return (
+            store.lookups,
+            store.lookup_hits,
+            store.evictions,
+            store.predictor.flips,
+            len(controller.decisions) if controller is not None else 0,
+        )
+
+    def mark(self) -> None:
+        """Count the next row's deltas from now (the warmup boundary)."""
+        self._prev = [self._counts(triage) for _, triage in self._columns]
+
+    def fill(self, row: Dict[str, object]) -> None:
+        """Add every Triage instance's columns to ``row``."""
+        for i, (prefix, triage) in enumerate(self._columns):
+            counts = self._counts(triage)
+            lookups, hits, evictions, flips, decisions = (
+                now - before for now, before in zip(counts, self._prev[i])
+            )
+            self._prev[i] = counts
+            store = triage.store
+            capacity = 0 if store.unbounded else store.capacity_bytes
+            row[prefix + "meta_capacity_bytes"] = capacity
+            row[prefix + "meta_ways"] = self.config.metadata_ways(capacity)
+            row[prefix + "meta_hit_rate"] = hits / lookups if lookups else 0.0
+            row[prefix + "meta_evictions"] = evictions
+            row[prefix + "meta_occupancy"] = store.occupancy()
+            row[prefix + "meta_hawkeye_flips"] = flips
+            controller = triage.controller
+            if controller is not None:
+                last = controller.decisions[-1] if controller.decisions else None
+                row[prefix + "partition_decisions"] = decisions
+                row[prefix + "sandbox_small_hit_rate"] = (
+                    last.small_hit_rate if last is not None else None
+                )
+                row[prefix + "sandbox_large_hit_rate"] = (
+                    last.large_hit_rate if last is not None else None
+                )
 
 
 class _MetadataPartition:
@@ -168,7 +236,7 @@ def simulate(
             name or trace.name, pf.name if pf is not None else "none",
             t=wall_start,
         )
-    prev_store = [(0, 0, 0) for _ in triages]  # (lookups, hits, evictions)
+    columns = TriageColumns(config, [triages])
 
     counters = hierarchy.counters[0]
     total_cycles = 0.0
@@ -209,21 +277,7 @@ def simulate(
             "dram_utilization": dram_info.get("utilization", 0.0),
             "dram_queue_penalty_cycles": dram_info.get("queue_penalty_cycles", 0.0),
         }
-        for i, triage in enumerate(triages):
-            store = triage.store
-            lookups, hits, evictions = (
-                store.lookups, store.lookup_hits, store.evictions,
-            )
-            d_lookups = lookups - prev_store[i][0]
-            d_hits = hits - prev_store[i][1]
-            prefix = f"c0.t{i}." if len(triages) > 1 else "c0."
-            capacity = 0 if store.unbounded else store.capacity_bytes
-            row[prefix + "meta_capacity_bytes"] = capacity
-            row[prefix + "meta_ways"] = config.metadata_ways(capacity)
-            row[prefix + "meta_hit_rate"] = d_hits / d_lookups if d_lookups else 0.0
-            row[prefix + "meta_evictions"] = evictions - prev_store[i][2]
-            row[prefix + "meta_occupancy"] = store.occupancy()
-            prev_store[i] = (lookups, hits, evictions)
+        columns.fill(row)
         session.registry.histogram("dram.epoch_utilization_pct").observe(
             int(row["dram_utilization"] * 100)
         )
@@ -289,10 +343,7 @@ def simulate(
             # ``dram.queue_penalty_cycles`` registry counter.
             if dram.epoch_log:
                 dram.epoch_log.clear()
-            prev_store = [
-                (t.store.lookups, t.store.lookup_hits, t.store.evictions)
-                for t in triages
-            ]
+            columns.mark()
         line = addr >> 6
         accesses_in_epoch += 1
         if l1 == L1D_HIT:

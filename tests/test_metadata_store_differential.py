@@ -325,4 +325,4 @@ def test_store_matches_per_set_reference(policy, capacity, tag_bits, ops):
     assert (store.lookups, store.lookup_hits, store.updates, store.inserts) == (
         ref.lookups, ref.lookup_hits, ref.updates, ref.inserts,
     )
-    assert store._predictor._counters == ref._predictor._counters
+    assert store.predictor._counters == ref._predictor._counters

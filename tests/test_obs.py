@@ -317,8 +317,17 @@ class TestSimulatorIntegration:
                 assert key in rows[0], key
             # Epochs are numbered consecutively for the single run.
             assert [r["epoch"] for r in rows] == list(range(len(rows)))
-            # The dynamic controller emits partition decisions.
-            assert session.events.events("partition.decision")
+            # The dynamic controller's decisions land in the rows, each
+            # with the sandboxes' predicted hit rates.
+            decisions = sum(r["c0.partition_decisions"] for r in rows)
+            assert decisions == session.registry.get(
+                "triage.partition.decisions"
+            ).value > 0
+            assert all(
+                isinstance(r["c0.sandbox_small_hit_rate"], float)
+                and isinstance(r["c0.sandbox_large_hit_rate"], float)
+                for r in rows
+            )
             # Counters were registered and the manifest carries the dump.
             assert session.registry.get("sim.runs").value == 1
             assert session.registry.get("triage.meta_store.lookups").value > 0

@@ -9,7 +9,6 @@ from repro.prefetchers.stms import StmsPrefetcher
 from repro.prefetchers.triangel import TriangelConfig, TriangelPrefetcher
 from repro.replacement.reuse_aware import ReuseAwarePolicy
 from repro.sim.queued.dram_sched import BankedDram
-from repro.sim.queued.mshr import MshrFile
 
 lines = st.integers(min_value=0, max_value=127)
 streams = st.lists(st.tuples(st.integers(0, 3), lines), min_size=1, max_size=250)
@@ -51,19 +50,6 @@ def test_stms_candidates_come_from_history(stream):
         for c in pf.observe(0, line):
             assert c.line in seen  # can only predict what it has recorded
         seen.add(line)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(lines, min_size=1, max_size=200))
-def test_mshr_never_exceeds_capacity(stream):
-    mshrs = MshrFile(4)
-    for i, line in enumerate(stream):
-        entry = mshrs.allocate(line, float(i))
-        if entry is None:
-            oldest = mshrs.outstanding_lines()[0]
-            mshrs.complete(oldest)
-            assert mshrs.allocate(line, float(i)) is not None
-        assert len(mshrs) <= 4
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.triage import TriageConfig
 from repro.sim.config import MachineConfig
-from repro.sim.queued import BankedDram, MshrFile, simulate_queued
+from repro.sim.queued import BankedDram, simulate_queued
 from repro.sim.queued.dram_sched import DramTimingParams
 from repro.sim.single_core import simulate
 from repro.workloads.irregular import chain_trace
@@ -26,35 +26,6 @@ def triage_cfg():
         metadata_capacity=32 * KB, capacities=(0, 16 * KB, 32 * KB),
         epoch_accesses=2000,
     )
-
-
-# -- MSHR ------------------------------------------------------------------
-
-
-def test_mshr_allocate_and_complete():
-    mshrs = MshrFile(2)
-    assert mshrs.allocate(1, 0.0) is not None
-    assert mshrs.allocate(2, 1.0) is not None
-    assert mshrs.full
-    assert mshrs.allocate(3, 2.0) is None
-    assert mshrs.full_stalls == 1
-    assert mshrs.complete(1).line == 1
-    assert not mshrs.full
-
-
-def test_mshr_merges_inflight_lines():
-    mshrs = MshrFile(2)
-    entry = mshrs.allocate(7, 0.0, is_prefetch=True)
-    merged = mshrs.allocate(7, 1.0, is_prefetch=False)
-    assert merged is entry
-    assert entry.merged_demands == 1
-    assert mshrs.merges == 1
-    assert len(mshrs) == 1
-
-
-def test_mshr_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        MshrFile(0)
 
 
 # -- banked DRAM --------------------------------------------------------------
@@ -140,26 +111,9 @@ def test_queued_engine_warmup():
     assert warmed.cycles > 0
 
 
-class _StallEveryOtherMiss(MshrFile):
-    """Reports the file full on every other new miss.
-
-    The engine retires each entry as soon as it allocates it, so a real
-    file never fills; this one makes ``full_stalls`` count something.
-    """
-
-    def allocate(self, line, cycle, is_prefetch=False):
-        self._stall = not getattr(self, "_stall", False)
-        if self._stall:
-            self.full_stalls += 1
-            return None
-        return super().allocate(line, cycle, is_prefetch)
-
-
-def test_warmed_run_counts_only_measured_window_drops_and_stalls(monkeypatch):
-    from repro.sim.queued import engine
+def test_warmed_run_counts_only_measured_window_drops_and_stalls():
     from repro.workloads import spec
 
-    monkeypatch.setattr(engine, "MshrFile", _StallEveryOtherMiss)
     trace = spec.make_trace("gcc", n_accesses=6_000, seed=1)
     whole = simulate_queued(trace, "bo")
     # The engine is causal: a run of the first 3,000 accesses counts
@@ -169,8 +123,4 @@ def test_warmed_run_counts_only_measured_window_drops_and_stalls(monkeypatch):
     assert 0 < warmup.dropped_prefetches < whole.dropped_prefetches
     assert warmed.dropped_prefetches == (
         whole.dropped_prefetches - warmup.dropped_prefetches
-    )
-    assert 0 < warmup.mshr_full_stalls < whole.mshr_full_stalls
-    assert warmed.mshr_full_stalls == (
-        whole.mshr_full_stalls - warmup.mshr_full_stalls
     )
