@@ -90,7 +90,9 @@ def column_sum(rows, name: str) -> int:
 def test_each_signal_is_counted_once(engine):
     session, triages = run(engine)
     rows = session.sampler.rows
-    counter = lambda name: session.registry.get(name).value  # noqa: E731
+
+    def counter(name: str) -> int:
+        return session.registry.get(name).value
 
     applies = session.events.events("partition.apply")
     assert len(applies) == counter("triage.partition.changes") > 0
@@ -128,14 +130,17 @@ def test_queued_samples_carry_the_same_columns():
 def test_hybrid_columns_are_prefixed_per_triage(engine):
     """A hybrid's Triage instances each get ``c<core>.t<i>.`` columns."""
     trace = common.get_trace("mcf", 3_000)
-    spec = lambda: common.make_spec("triage_512kb+triangel_512kb", scale=16)  # noqa: E731
+
+    def hybrid():
+        return common.make_spec("triage_512kb+triangel_512kb", scale=16)
+
     session = obs.ObsSession()
     if engine == "single":
-        simulate(trace, spec(), machine=common.MACHINE, obs=session)
+        simulate(trace, hybrid(), machine=common.MACHINE, obs=session)
         cores = 1
     else:
         simulate_multicore(
-            [trace, trace], spec, machine=common.MACHINE.with_cores(2), obs=session
+            [trace, trace], hybrid, machine=common.MACHINE.with_cores(2), obs=session
         )
         cores = 2
     row = session.sampler.rows[0]
