@@ -23,9 +23,15 @@ grid above never reaches (its stores never fill and its partitions never
 move): a 16 KB store under each replacement policy evicts thousands of
 entries, and a dynamic controller on 500-access epochs shrinks the store
 and the LLC's data ways mid-run while lines sit in the ways it gives up.
-They also pin each store's eviction count.  They were generated from the
-engine before the store and its policies dropped their per-set
-preallocation.
+Two more 16 KB cells take the store's other entry paths: the near index
+level of ``index_mode="nonuniform"`` and the always-overwrite update of
+``use_confidence=False``.  They run at degree 4: at degree 1 the ``mcf``
+run never hits its near level and never looks up an entry the ablation
+overwrote, so both cells would equal ``mcf/triage@16KB``.  The cells
+also pin each store's eviction count.
+The first four were generated from the engine before the store and its
+policies dropped their per-set preallocation, the last two from the
+engine before store entries became packed ints.
 
 The ``FRONT_END_CELLS`` and ``WRAP_CELL`` pin the paths of the L1D and
 its stride prefetcher that the grid above never takes: the stride
@@ -94,6 +100,12 @@ STORE_CELLS = {
     ),
     "mcf/triage@16KB:lru": lambda: TriagePrefetcher(
         common.triage_config(capacity=16 * KB, replacement="lru")
+    ),
+    "mcf/triage@16KB:nonuniform": lambda: TriagePrefetcher(
+        common.triage_config(capacity=16 * KB, degree=4, index_mode="nonuniform")
+    ),
+    "mcf/triage@16KB:noconf": lambda: TriagePrefetcher(
+        common.triage_config(capacity=16 * KB, degree=4, use_confidence=False)
     ),
     "mcf/triangel@16KB": lambda: TriangelPrefetcher(
         common.triangel_config(capacity=16 * KB)
@@ -275,6 +287,24 @@ def test_store_cells_reach_eviction_and_resize_paths():
         assert (
             cell["store_evictions"] > 0 or len(set(cell["partition_history"])) >= 2
         ), key
+
+
+def test_near_and_overwrite_cells_differ_from_the_plain_store():
+    """The nonuniform and confidence-off cells each move a result away
+    from the same degree-4 store without either feature: the near level
+    serves lookups the far array would have charged, and the ablation
+    overwrites entries the confidence bit would have kept."""
+    cells = json.loads(GOLDEN_PATH.read_text())["cells"]
+    common.clear_caches()
+    try:
+        plain = store_cell_fingerprint(
+            lambda: TriagePrefetcher(common.triage_config(capacity=16 * KB, degree=4))
+        )
+    finally:
+        common.clear_caches()
+    near = cells["mcf/triage@16KB:nonuniform"]
+    assert near["metadata_llc_accesses"] < plain["metadata_llc_accesses"]
+    assert cells["mcf/triage@16KB:noconf"]["cycles"] != plain["cycles"]
 
 
 def test_front_end_cells_reach_their_paths():

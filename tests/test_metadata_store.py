@@ -167,6 +167,18 @@ def test_nonuniform_near_hits_skip_the_llc():
     assert store.lookup_hits == 2
 
 
+def test_near_hit_returns_the_current_successor():
+    """A successor replaced after its entry entered the near level is
+    what the next near hit returns."""
+    store = MetadataStore(capacity_bytes=4096, index_mode="nonuniform")
+    store.update(1, 2)
+    assert store.lookup(1) == 2  # far hit: promotes to near
+    store.update(1, 3)  # conflict: confidence drops, successor kept
+    store.update(1, 3)  # conflict at confidence 0: successor replaced
+    assert store.lookup(1) == 3
+    assert store.near_hits == 1
+
+
 def test_nonuniform_near_is_lru_bounded():
     store = MetadataStore(
         capacity_bytes=64 * 1024, index_mode="nonuniform", near_entries=2
