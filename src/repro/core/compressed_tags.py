@@ -16,38 +16,43 @@ faithfully (and exposes ``recycled`` so experiments can quantify it).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 
 class CompressedTagTable:
-    """Bidirectional tag <-> small-id map with LRU id recycling."""
+    """Bidirectional tag <-> small-id map with LRU id recycling.
+
+    The tag -> id dict is kept in recency order, least recent first: a
+    hit pops and re-inserts its tag, and the id to recycle belongs to
+    the first key.
+    """
 
     def __init__(self, bits: int = 10):
         if bits <= 0:
             raise ValueError("bits must be positive")
         self.capacity = 1 << bits
-        self._tag_to_id: "OrderedDict[int, int]" = OrderedDict()
-        self._id_to_tag: dict = {}
+        self._tag_to_id: Dict[int, int] = {}
+        self._id_to_tag: Dict[int, int] = {}
         self._next_id = 0
         self.recycled = 0  # times an id was reassigned to a new tag
 
     def compress(self, tag: int) -> int:
         """Return the compact id for ``tag``, allocating one if needed."""
-        compact = self._tag_to_id.get(tag)
+        tag_to_id = self._tag_to_id
+        compact = tag_to_id.pop(tag, None)
         if compact is not None:
-            self._tag_to_id.move_to_end(tag)
+            tag_to_id[tag] = compact
             return compact
-        if len(self._tag_to_id) < self.capacity:
+        if len(tag_to_id) < self.capacity:
             compact = self._next_id
             self._next_id += 1
         else:
             # Recycle the least recently used id; stale references to it
             # will now decompress to the new tag.
-            old_tag, compact = self._tag_to_id.popitem(last=False)
+            compact = tag_to_id.pop(next(iter(tag_to_id)))
             del self._id_to_tag[compact]
             self.recycled += 1
-        self._tag_to_id[tag] = compact
+        tag_to_id[tag] = compact
         self._id_to_tag[compact] = tag
         return compact
 

@@ -6,7 +6,9 @@ compressed tag of the trigger (its set_id is implicit), the compressed
 tag + set_id of the successor, and a 1-bit confidence counter (paper
 Section 3.2).  Sixteen tagged entries pack into one 64 B LLC line, so the
 store behaves as a set-associative structure with 16-entry sets indexed
-by the trigger address -- exactly how this class is organized.
+by the trigger address -- exactly how this class is organized.  A
+resident entry is one packed int in a ``trigger -> entry`` dict (see
+``CONFIDENCE``), so installing one allocates no object.
 
 Anything evicted is simply discarded: Triage has no off-chip metadata.
 Replacement is the modified Hawkeye policy by default (``policy="lru"``
@@ -26,9 +28,8 @@ and the hot subset deserves a cheaper, finer-grained index level.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.compressed_tags import CompressedTagTable
 from repro.replacement.base import ReplacementPolicy
@@ -47,10 +48,18 @@ SET_ID_MASK = (1 << SET_ID_BITS) - 1
 #: lookups, not that the near level competes with the far array.
 NEAR_INDEX_ENTRIES = 64
 
+#: A resident entry is one int, ``successor << 5 | confidence << 4 |
+#: way``: the successor's compressed tag and set_id
+#: (``compact << SET_ID_BITS | set_id``), the 1-bit confidence counter,
+#: and the entry's slot within its set (0 in an unbounded store).
+WAY_MASK = ENTRIES_PER_LINE - 1
+CONFIDENCE = 1 << 4
+SUCCESSOR_SHIFT = 5
+
 
 @dataclass(slots=True)
 class MetadataEntry:
-    """One correlation: ``trigger``'s PC-localized successor."""
+    """A view of one correlation: ``trigger``'s PC-localized successor."""
 
     trigger: int  # trigger line address (identity within the set)
     next_compact: int  # compressed tag of the successor
@@ -87,11 +96,11 @@ class MetadataStore:
         self.use_compressed_tags = use_compressed_tags
         self.tag_bits = tag_bits
         self.index_mode = index_mode
-        #: Near-level index (non-uniform mode): trigger -> resident
-        #: entry, LRU-bounded.  Entries are shared objects with the far
-        #: array, so in-place confidence/successor updates stay coherent;
-        #: eviction and resize invalidate near copies explicitly.
-        self._near: "OrderedDict[int, MetadataEntry]" = OrderedDict()
+        #: Near-level index (non-uniform mode): the triggers it holds,
+        #: least recently used first.  A near hit reads the entry from the
+        #: far dict, so successor and confidence updates need no copy;
+        #: eviction and resize drop triggers the far array no longer holds.
+        self._near: Dict[int, None] = {}
         self._near_capacity = near_entries if index_mode == "nonuniform" else 0
         #: Hawkeye's PC predictor; persists across resizes.
         self.predictor = HawkeyePredictor()
@@ -115,13 +124,15 @@ class MetadataStore:
         self.unbounded = capacity_bytes is None
         self.capacity_bytes = 0
         self.num_sets = 0
-        #: trigger -> resident entry, for bounded and unbounded stores alike.
-        self._entries: Dict[int, MetadataEntry] = {}
-        #: Bounded stores: set index -> its entries in way order, created
-        #: on the set's first install.  Entries leave a set only by
-        #: eviction-and-replace, never one at a time, so a row's length is
-        #: both its occupancy and its lowest free way.
-        self._rows: Dict[int, List[MetadataEntry]] = {}
+        #: trigger -> packed entry, for bounded and unbounded stores alike.
+        self._entries: Dict[int, int] = {}
+        #: Bounded stores: each set's row of triggers in way order, flat
+        #: like the policies' per-way state (``set_idx * ENTRIES_PER_LINE +
+        #: way``, None where free), and each set's count of filled ways.
+        #: Entries leave a set only by eviction-and-replace, never one at a
+        #: time, so a set's count is also its lowest free way.
+        self._rows: List[Optional[int]] = []
+        self._fill = bytearray()
         self._policy: Optional[ReplacementPolicy] = None
         #: The policy, when it is a sampling Hawkeye, and its sampled-set
         #: stride (hot-path shortcuts, refreshed by :meth:`resize`).
@@ -152,12 +163,13 @@ class MetadataStore:
             raise ValueError("cannot resize an unbounded store")
         if capacity_bytes < 0:
             raise ValueError("capacity must be non-negative")
-        old_entries = self.entries()
+        survivors = self._pairs()
         self.capacity_bytes = capacity_bytes
         self._near.clear()  # near copies would go stale across re-indexing
         self.num_sets = _floor_pow2(capacity_bytes // (ENTRY_BYTES * ENTRIES_PER_LINE))
         self._entries = {}
-        self._rows = {}
+        self._rows = [None] * (self.num_sets * ENTRIES_PER_LINE)
+        self._fill = bytearray(self.num_sets)
         self._policy = None
         self._hawkeye = None
         if self.num_sets == 0:
@@ -179,14 +191,15 @@ class MetadataStore:
         # Survivors arrive in set-then-way order; each takes its new set's
         # lowest free way while one is left.
         mask = self.num_sets - 1
-        for entry in old_entries:
-            set_idx = entry.trigger & mask
-            row = self._rows.setdefault(set_idx, [])
-            if len(row) < ENTRIES_PER_LINE:
-                entry.way = len(row)
-                row.append(entry)
-                self._entries[entry.trigger] = entry
-                self._policy.on_fill(set_idx, entry.way, 0)
+        fill = self._fill
+        for trigger, packed in survivors:
+            set_idx = trigger & mask
+            way = fill[set_idx]
+            if way < ENTRIES_PER_LINE:
+                fill[set_idx] = way + 1
+                self._rows[set_idx * ENTRIES_PER_LINE + way] = trigger
+                self._entries[trigger] = packed & ~WAY_MASK | way
+                self._policy.on_fill(set_idx, way, 0)
 
     # -- operations ----------------------------------------------------------
 
@@ -203,29 +216,34 @@ class MetadataStore:
         replacement state (Trimma's cheap hot-path level).
         """
         self.lookups += 1
-        entry = self._near.get(trigger) if self._near_capacity else None
-        if entry is not None:
-            self._near.move_to_end(trigger)
+        near = self._near
+        if trigger in near:
+            del near[trigger]  # re-inserted below as most recently used
+            near[trigger] = None
             self.near_hits += 1
+            packed = self._entries[trigger]
         else:
             self.llc_accesses += 1
-            entry = self._entries.get(trigger)
-            if entry is None:
+            packed = self._entries.get(trigger)
+            if packed is None:
                 return None
             policy = self._policy
             if policy is not None:
-                policy.on_hit(trigger & (self.num_sets - 1), entry.way, pc)
+                policy.on_hit(trigger & (self.num_sets - 1), packed & WAY_MASK, pc)
             if self._near_capacity:
-                self._near_insert(entry)
+                near[trigger] = None
+                if len(near) > self._near_capacity:
+                    del near[next(iter(near))]
         self.lookup_hits += 1
         if self.track_reuse:
             self.reuse_counts[trigger] = self.reuse_counts.get(trigger, 0) + 1
-        tag = entry.next_compact
-        if self.tag_table is not None:
-            tag = self.tag_table.expand(tag)
-            if tag is None:
-                return None  # compressed tag recycled away
-        return tag << SET_ID_BITS | entry.next_set_id
+        successor = packed >> SUCCESSOR_SHIFT
+        if self.tag_table is None:
+            return successor
+        tag = self.tag_table.expand(successor >> SET_ID_BITS)
+        if tag is None:
+            return None  # compressed tag recycled away
+        return tag << SET_ID_BITS | successor & SET_ID_MASK
 
     def update(self, trigger: int, next_line: int, pc: int = 0) -> None:
         """Learn/refresh the correlation ``trigger -> next_line``.
@@ -238,56 +256,65 @@ class MetadataStore:
         self.llc_accesses += 1
         # The successor's tag is compressed even when nothing is stored:
         # the table's LRU order is part of the model.
-        set_id = next_line & SET_ID_MASK
-        compact = next_line >> SET_ID_BITS
+        successor = next_line
         if self.tag_table is not None:
-            compact = self.tag_table.compress(compact)
+            successor = (
+                self.tag_table.compress(next_line >> SET_ID_BITS) << SET_ID_BITS
+                | next_line & SET_ID_MASK
+            )
         entries = self._entries
-        entry = entries.get(trigger)
-        if entry is None:
+        packed = entries.get(trigger)
+        if packed is None:
             if self.unbounded:
-                entries[trigger] = MetadataEntry(trigger, compact, set_id)
+                entries[trigger] = successor << SUCCESSOR_SHIFT | CONFIDENCE
                 self.inserts += 1
                 return
             num_sets = self.num_sets
             if not num_sets:
                 return  # zero-capacity store: metadata is discarded
             set_idx = trigger & (num_sets - 1)
-            row = self._rows.get(set_idx)
-            if row is None:
-                row = self._rows[set_idx] = []
-            way = len(row)
+            fill = self._fill
+            way = fill[set_idx]
             policy = self._policy
-            entry = MetadataEntry(trigger, compact, set_id, 1, way)
             if way < ENTRIES_PER_LINE:
-                row.append(entry)
+                fill[set_idx] = way + 1
             else:
-                way = entry.way = policy.victim(set_idx, pc)
-                victim = row[way]
-                del entries[victim.trigger]
-                self._near.pop(victim.trigger, None)  # drop stale near copy
+                way = policy.victim(set_idx, pc)
+                victim = self._rows[set_idx * ENTRIES_PER_LINE + way]
+                del entries[victim]
+                if self._near_capacity:
+                    self._near.pop(victim, None)  # near holds residents only
                 policy.on_evict(set_idx, way)
                 self.evictions += 1
-                row[way] = entry
-            entries[trigger] = entry
+            self._rows[set_idx * ENTRIES_PER_LINE + way] = trigger
+            entries[trigger] = successor << SUCCESSOR_SHIFT | CONFIDENCE | way
             policy.on_fill(set_idx, way, pc)
             self.inserts += 1
-        elif entry.next_compact == compact and entry.next_set_id == set_id:
+        elif packed >> SUCCESSOR_SHIFT == successor:
             self.update_agreements += 1
-            entry.confidence = 1
-        elif entry.confidence > 0:
+            entries[trigger] = packed | CONFIDENCE
+        elif packed & CONFIDENCE:
             self.update_conflicts += 1
-            entry.confidence = 0
+            entries[trigger] = packed ^ CONFIDENCE
         else:
             self.update_conflicts += 1
-            entry.next_compact = compact
-            entry.next_set_id = set_id
-            entry.confidence = 1
+            entries[trigger] = (
+                successor << SUCCESSOR_SHIFT | CONFIDENCE | packed & WAY_MASK
+            )
         hawkeye = self._hawkeye
         if hawkeye is not None:
             set_idx = trigger & (self.num_sets - 1)
             if not set_idx % self._sample_stride:
                 hawkeye.observe(set_idx, trigger, pc)
+
+    def overwrite(self, trigger: int, next_line: int, pc: int = 0) -> None:
+        """:meth:`update` without the confidence bit's protection: a
+        stored successor that differs from ``next_line`` is replaced at
+        once (the confidence-off ablation)."""
+        packed = self._entries.get(trigger)
+        if packed is not None:
+            self._entries[trigger] = packed & ~CONFIDENCE
+        self.update(trigger, next_line, pc)
 
     def observe_access(self, trigger: int, pc: int) -> None:
         """Feed one metadata access to the Hawkeye sampler (if active)."""
@@ -324,20 +351,29 @@ class MetadataStore:
         return len(self._entries)
 
     def entries(self) -> List[MetadataEntry]:
-        """All resident entries, in set-then-way order for a bounded store."""
-        if self.unbounded:
-            return list(self._entries.values())
-        rows = self._rows
-        return [entry for set_idx in sorted(rows) for entry in rows[set_idx]]
+        """Views of all resident entries, in set-then-way order for a
+        bounded store."""
+        return [
+            MetadataEntry(
+                trigger,
+                packed >> SUCCESSOR_SHIFT + SET_ID_BITS,
+                packed >> SUCCESSOR_SHIFT & SET_ID_MASK,
+                packed >> 4 & 1,
+                packed & WAY_MASK,
+            )
+            for trigger, packed in self._pairs()
+        ]
 
     # -- internals -----------------------------------------------------------
 
-    def _near_insert(self, entry: MetadataEntry) -> None:
-        """Refresh ``entry`` into the LRU-bounded near index level."""
-        self._near[entry.trigger] = entry
-        self._near.move_to_end(entry.trigger)
-        if len(self._near) > self._near_capacity:
-            self._near.popitem(last=False)
-
-    def _find(self, trigger: int) -> Optional[MetadataEntry]:
-        return self._entries.get(trigger)
+    def _pairs(self) -> List[Tuple[int, int]]:
+        """``(trigger, packed)`` of every resident entry, in
+        :meth:`entries` order."""
+        entries = self._entries
+        if self.unbounded:
+            return list(entries.items())
+        return [
+            (trigger, entries[trigger])
+            for trigger in self._rows
+            if trigger is not None
+        ]

@@ -11,18 +11,21 @@ miss stream of a SimPoint touches far fewer hot load PCs than that).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 
 class TrainingUnit:
-    """Bounded PC -> last-line table with LRU replacement."""
+    """Bounded PC -> last-line table with LRU replacement.
+
+    The dict is kept in recency order, least recent first: an access
+    pops and re-inserts its PC, and the PC to drop is the first key.
+    """
 
     def __init__(self, max_pcs: int = 1024):
         if max_pcs <= 0:
             raise ValueError("max_pcs must be positive")
         self.max_pcs = max_pcs
-        self._last: "OrderedDict[int, int]" = OrderedDict()
+        self._last: Dict[int, int] = {}
 
     def observe(self, pc: int, line: int) -> Optional[int]:
         """Record ``line`` as the newest access by ``pc``.
@@ -31,11 +34,11 @@ class TrainingUnit:
         partner ``A`` for the new access ``B``), or ``None`` the first time
         a PC is seen.
         """
-        prev = self._last.get(pc)
-        self._last[pc] = line
-        self._last.move_to_end(pc)
-        if prev is None and len(self._last) > self.max_pcs:
-            self._last.popitem(last=False)
+        last = self._last
+        prev = last.pop(pc, None)
+        last[pc] = line
+        if prev is None and len(last) > self.max_pcs:
+            del last[next(iter(last))]
         return prev
 
     def peek(self, pc: int) -> Optional[int]:

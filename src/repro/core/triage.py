@@ -139,22 +139,36 @@ class TriagePrefetcher(BasePrefetcher):
         #: attached by the simulation engine when observability is on; it
         #: receives one ``partition.apply`` event per resize.
         self.events = None
+        # Resolved once: ``observe`` runs on every L2 miss.
+        self._pc_localized = config.pc_localized
+        #: The controller when it also watches the data side, else None.
+        self._utility = (
+            self.controller
+            if isinstance(self.controller, UtilityPartitionController)
+            else None
+        )
+        #: The store's training call: confidence-guarded, or the ablation's
+        #: always-overwrite.
+        self._learn = (
+            self.store.update if config.use_confidence else self.store.overwrite
+        )
 
     # -- prefetcher interface -------------------------------------------------
 
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
-        stream_pc = pc if self.config.pc_localized else 0
+        stream_pc = pc if self._pc_localized else 0
 
         # The utility controller also watches the data side: this very
         # event *is* an LLC data access (the L2 miss stream).  Its
         # usefulness weight tracks measured pair stability, so metadata
         # reuse without repeatable successors (the bzip2 case) earns no
         # LLC ways.
-        if isinstance(self.controller, UtilityPartitionController):
-            self.controller.note_data_access(line)
-            self.controller.usefulness = self.store.pair_stability()
+        utility = self._utility
+        if utility is not None:
+            utility.note_data_access(line)
+            utility.usefulness = self.store.pair_stability()
 
         # Prediction: walk the successor chain up to `degree` hops.  Each
         # hop is a metadata lookup (an LLC access in hardware).
@@ -180,18 +194,16 @@ class TriagePrefetcher(BasePrefetcher):
         # Training: correlate with this PC's previous access.
         prev = self.training_unit.observe(stream_pc, line)
         if prev is not None and prev != line:
-            if self.config.use_confidence:
-                store.update(prev, line, stream_pc)
-            else:
-                self._update_unconditionally(prev, line, stream_pc)
+            self._learn(prev, line, stream_pc)
 
         if self._pending_capacity is not None:
             self._apply_pending_partition()
         return candidates
 
     def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
-        # Only a non-redundant prefetch trains the store's sampler (the
-        # gate of MetadataStore.record_prefetch_outcome).
+        # Only a non-redundant prefetch trains the store's sampler: a
+        # redundant one was already cached, so its metadata access earned
+        # nothing (paper Section 3).
         if source != "redundant":
             self.store.observe_access(*candidate.context)
 
@@ -230,12 +242,3 @@ class TriagePrefetcher(BasePrefetcher):
         if self.store.unbounded:
             raise ValueError("unbounded store has no capacity")
         return self.store.capacity_bytes
-
-    # -- ablation helper ---------------------------------------------------------
-
-    def _update_unconditionally(self, trigger: int, line: int, pc: int) -> None:
-        """Confidence-off ablation: always overwrite the stored neighbor."""
-        entry = self.store._find(trigger)
-        if entry is not None:
-            entry.confidence = 0  # force replacement on this update
-        self.store.update(trigger, line, pc)

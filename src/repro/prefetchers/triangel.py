@@ -44,12 +44,10 @@ revisited line, Triangel's never does.)
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.triage import TriageConfig, TriagePrefetcher
-from repro.core.utility_partition import UtilityPartitionController
 from repro.prefetchers.base import PrefetchCandidate
 
 KB = 1024
@@ -91,22 +89,21 @@ class TriangelConfig(TriageConfig):
     sample_pcs: int = 1024
 
 
-@dataclass(slots=True)
-class SampleEntry:
-    """One sampled training triple: ``trigger`` was followed by
-    ``successor`` in ``pc``'s stream when last observed."""
-
-    pc: int
-    successor: int
+#: One sampled training triple's payload: ``(pc, successor)``, meaning
+#: the keyed trigger was followed by ``successor`` in ``pc``'s stream
+#: when last observed.
+Sample = Tuple[int, int]
 
 
 class SampleTable:
     """Set-associative sample store, LRU-replaced within each set.
 
-    Keys are trigger line addresses; sets are ``OrderedDict``s so probe
-    refresh and capacity eviction are both O(1).  The table is metadata
+    Keys are trigger line addresses.  Each set is a dict kept in recency
+    order, least recent first: a probe pops and re-inserts its trigger,
+    and the sample to drop is the first key.  The table is metadata
     *about* metadata: it never holds prefetch targets, only evidence of
     whether a (PC, pair) relationship repeats.
+    :meth:`TriangelPrefetcher._train` works on :attr:`sets` directly.
     """
 
     def __init__(self, num_sets: int = 64, num_ways: int = 4):
@@ -114,31 +111,26 @@ class SampleTable:
             raise ValueError("sample table geometry must be positive")
         self.num_sets = num_sets
         self.num_ways = num_ways
-        self._sets: List["OrderedDict[int, SampleEntry]"] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
+        self.sets: List[Dict[int, Sample]] = [{} for _ in range(num_sets)]
 
-    def _set_of(self, trigger: int) -> "OrderedDict[int, SampleEntry]":
-        return self._sets[trigger % self.num_sets]
-
-    def probe(self, trigger: int) -> Optional[SampleEntry]:
+    def probe(self, trigger: int) -> Optional[Sample]:
         """Return the live sample for ``trigger`` (refreshing its LRU
         position), or ``None``."""
-        bucket = self._set_of(trigger)
-        entry = bucket.get(trigger)
-        if entry is not None:
-            bucket.move_to_end(trigger)
-        return entry
+        bucket = self.sets[trigger % self.num_sets]
+        sample = bucket.pop(trigger, None)
+        if sample is not None:
+            bucket[trigger] = sample
+        return sample
 
     def insert(self, trigger: int, pc: int, successor: int) -> None:
-        bucket = self._set_of(trigger)
-        bucket[trigger] = SampleEntry(pc, successor)
-        bucket.move_to_end(trigger)
+        bucket = self.sets[trigger % self.num_sets]
+        bucket.pop(trigger, None)
+        bucket[trigger] = (pc, successor)
         if len(bucket) > self.num_ways:
-            bucket.popitem(last=False)
+            del bucket[next(iter(bucket))]
 
     def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)
+        return sum(len(bucket) for bucket in self.sets)
 
 
 class TriangelPrefetcher(TriagePrefetcher):
@@ -153,12 +145,13 @@ class TriangelPrefetcher(TriagePrefetcher):
             raise ValueError("lookahead must be >= 1")
         super().__init__(config, **kwargs)
         self.sample_table = SampleTable(config.sample_sets, config.sample_ways)
-        #: Per-PC pattern confidence (bounded LRU; values in
-        #: ``[0, pattern_max]``, absent means ``allocate_threshold``).
-        self._pattern_conf: "OrderedDict[int, int]" = OrderedDict()
+        #: Per-PC pattern confidence (a dict-order LRU like the Sample
+        #: Table's sets; values in ``[0, pattern_max]``, absent means
+        #: ``allocate_threshold``).
+        self._pattern_conf: Dict[int, int] = {}
         #: Per-PC temporal-reuse evidence (same bounds; observability
         #: only -- the allocation gate keys off pattern confidence).
-        self._reuse_conf: "OrderedDict[int, int]" = OrderedDict()
+        self._reuse_conf: Dict[int, int] = {}
         # Family-specific statistics.
         self.sample_hits = 0
         self.sample_pattern_matches = 0
@@ -169,13 +162,14 @@ class TriangelPrefetcher(TriagePrefetcher):
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
-        stream_pc = pc if self.config.pc_localized else 0
+        stream_pc = pc if self._pc_localized else 0
 
         # Same data-side glue as Triage: this event is an LLC data access
         # for the utility controller's bookkeeping.
-        if isinstance(self.controller, UtilityPartitionController):
-            self.controller.note_data_access(line)
-            self.controller.usefulness = self.store.pair_stability()
+        utility = self._utility
+        if utility is not None:
+            utility.note_data_access(line)
+            utility.usefulness = self.store.pair_stability()
 
         candidates = self._walk(line, stream_pc)
         self.metadata_llc_accesses = self.store.llc_accesses
@@ -228,57 +222,44 @@ class TriangelPrefetcher(TriagePrefetcher):
     # -- training + sampling ---------------------------------------------------
 
     def _train(self, prev: int, line: int, stream_pc: int) -> None:
-        if not self.config.sampling:
-            allowed = True
-        else:
-            self._sample_train(prev, line, stream_pc)
+        """Fold one training pair into the Sample Table's evidence, then
+        let the store learn it unless the PC's confidence gates it out."""
+        config = self.config
+        if config.sampling:
+            table = self.sample_table
+            bucket = table.sets[prev % table.num_sets]
+            sample = bucket.pop(prev, None)
+            if sample is not None:
+                self.sample_hits += 1
+                self._bump(self._reuse_conf, stream_pc, +1)
+                if sample[0] == stream_pc:
+                    if sample[1] == line:
+                        self.sample_pattern_matches += 1
+                        self._bump(self._pattern_conf, stream_pc, +1)
+                    else:
+                        self._bump(self._pattern_conf, stream_pc, -1)
+                bucket[prev] = (stream_pc, line)
+            elif prev % config.sample_rate == 0:
+                bucket[prev] = (stream_pc, line)
+                if len(bucket) > table.num_ways:
+                    del bucket[next(iter(bucket))]
             # Refreshing an existing correlation is always allowed; only
-            # *new* allocations are gated by the PC's sampled confidence.
-            allowed = self.store.contains(prev) or self._allocate_allowed(
-                stream_pc
-            )
-        if not allowed:
-            self.skipped_allocations += 1
-            return
-        if self.config.use_confidence:
-            self.store.update(prev, line, stream_pc)
-        else:
-            self._update_unconditionally(prev, line, stream_pc)
+            # *new* allocations are gated by the PC's sampled confidence
+            # (unsampled PCs start at the threshold).
+            if not self.store.contains(prev):
+                conf = self._pattern_conf.get(stream_pc)
+                if conf is not None and conf < config.allocate_threshold:
+                    self.skipped_allocations += 1
+                    return
+        self._learn(prev, line, stream_pc)
 
-    def _sample_train(self, prev: int, line: int, stream_pc: int) -> None:
-        """Fold one training pair into the Sample Table's evidence."""
-        entry = self.sample_table.probe(prev)
-        if entry is not None:
-            self.sample_hits += 1
-            self._bump(self._reuse_conf, stream_pc, +1)
-            if entry.pc == stream_pc:
-                if entry.successor == line:
-                    self.sample_pattern_matches += 1
-                    self._bump(self._pattern_conf, stream_pc, +1)
-                else:
-                    self._bump(self._pattern_conf, stream_pc, -1)
-            entry.pc = stream_pc
-            entry.successor = line
-        elif prev % self.config.sample_rate == 0:
-            self.sample_table.insert(prev, stream_pc, line)
-
-    def _allocate_allowed(self, stream_pc: int) -> bool:
-        conf = self._pattern_conf.get(stream_pc)
-        if conf is None:
-            return True  # unsampled PCs start at the threshold
-        return conf >= self.config.allocate_threshold
-
-    def _bump(
-        self, table: "OrderedDict[int, int]", pc: int, delta: int
-    ) -> None:
-        value = table.get(pc)
+    def _bump(self, table: Dict[int, int], pc: int, delta: int) -> None:
+        value = table.pop(pc, None)
         if value is None:
             value = self.config.allocate_threshold
-        value = max(0, min(self.config.pattern_max, value + delta))
-        table[pc] = value
-        table.move_to_end(pc)
+        table[pc] = max(0, min(self.config.pattern_max, value + delta))
         if len(table) > self.config.sample_pcs:
-            table.popitem(last=False)
+            del table[next(iter(table))]
 
     # -- observability ---------------------------------------------------------
 

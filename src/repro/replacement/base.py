@@ -15,9 +15,10 @@ own per-way state instead of receiving a candidates list.  Owners that
 deactivate ways (LLC way partitioning) keep ``num_ways`` in sync via
 :meth:`resize_ways`.
 
-LRU, Hawkeye and the reuse-aware policy keep their per-way state in flat
-lists, one slot per ``(set, way)`` at ``set_idx * num_ways + way``, so
-building a policy allocates a handful of lists rather than one per set.
+LRU, Hawkeye and the reuse-aware policy keep their per-way state flat,
+one slot per ``(set, way)`` at ``set_idx * num_ways + way`` (lists, and a
+``bytearray`` for Hawkeye's RRPVs), so building a policy allocates a
+handful of sequences rather than one per set.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ from repro.replacement.base import ReplacementPolicy
 from repro.replacement.optgen import OptGen
 
 MAX_RRPV = 7
+#: Friendly-insert aging as a byte map: every RRPV below ``MAX_RRPV - 1``
+#: moves one step toward eviction, the two highest stay put.
+_AGE = bytes(r + 1 if r < MAX_RRPV - 1 else r for r in range(256))
 
 
 class HawkeyePredictor:
@@ -88,8 +91,9 @@ class HawkeyePolicy(ReplacementPolicy):
         #: metadata accesses that produced redundant prefetches (paper
         #: Section 3.1).
         self.auto_observe = auto_observe
-        #: RRPV and last PC per way, flat (``set_idx * num_ways + way``).
-        self._rrpv = [MAX_RRPV] * (num_sets * num_ways)
+        #: RRPV and last PC per way, flat (``set_idx * num_ways + way``);
+        #: RRPVs are bytes, so a set's row ages in one ``translate``.
+        self._rrpv = bytearray([MAX_RRPV]) * (num_sets * num_ways)
         self._line_pc = [0] * (num_sets * num_ways)
         #: Sets ``0, stride, 2*stride, ...`` feed OPTgen, so a set is
         #: sampled exactly when ``set_idx % sample_stride == 0``.
@@ -158,9 +162,7 @@ class HawkeyePolicy(ReplacementPolicy):
         if predictor._counters.get(index, THRESHOLD) >= THRESHOLD:
             # Friendly insertion: age everyone else so stale friendly
             # lines eventually become evictable.
-            rrpv[base : base + ways] = [
-                r + 1 if r < MAX_RRPV - 1 else r for r in rrpv[base : base + ways]
-            ]
+            rrpv[base : base + ways] = rrpv[base : base + ways].translate(_AGE)
             rrpv[base + way] = 0
         else:
             rrpv[base + way] = MAX_RRPV
@@ -178,7 +180,7 @@ class HawkeyePolicy(ReplacementPolicy):
         return best
 
     def resize_ways(self, num_ways: int) -> None:
-        self._rrpv = self._resized(self._rrpv, num_ways, MAX_RRPV)
+        self._rrpv = bytearray(self._resized(self._rrpv, num_ways, MAX_RRPV))
         self._line_pc = self._resized(self._line_pc, num_ways, 0)
         if num_ways < self.num_ways:
             for keys in self._line_keys.values():

@@ -47,7 +47,8 @@ from repro.sim.stats import SimulationResult
 from repro.workloads.base import Trace
 
 #: The queued engine has no analytic epochs; when observing it samples
-#: the time-series every this many demand accesses instead.
+#: the time-series every this many demand accesses instead, plus once at
+#: the end of the run.
 OBS_SAMPLE_ACCESSES = 4_096
 
 
@@ -221,6 +222,10 @@ def simulate_queued(
 
     while outstanding:
         now = max(now, heapq.heappop(outstanding))
+    if run is not None and len(trace) % OBS_SAMPLE_ACCESSES:
+        # A closing row for the accesses after the last full interval, so
+        # the rows' per-interval columns sum to the run's totals.
+        sample_obs(len(trace))
 
     measured_accesses = len(trace) - min(warmup_accesses, len(trace))
     traffic = {

@@ -1,7 +1,9 @@
-"""The paired A/B tool's statistics, run order and record checks."""
+"""The paired A/B tool's statistics, run order, record checks and arm set-up."""
 
 import importlib.util
+import json
 import math
+import py_compile
 import random
 from pathlib import Path
 
@@ -97,3 +99,59 @@ def test_a_clear_speedup_is_resolved():
     assert report["wall_s"]["verdict"] == "faster"
     assert report["accesses_per_s"]["verdict"] == "faster"
     assert "median ratio" in ab.render(report)
+
+
+#: A stand-in ``bench/run.py``: its record reports whether ``helper`` was
+#: read from cached bytecode (``setup_s`` 2, else 1) and the seed it got
+#: (``wall_s``).
+FAKE_RUN = '''\
+import importlib.util, json, os, sys
+spec = importlib.util.find_spec("helper")
+from_cache = os.path.exists(spec.cached)
+import helper
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "setup_s": {"value": 2.0 if from_cache else 1.0},
+    "wall_s": {"value": float(seed)},
+}}))
+'''
+
+
+def fake_checkout(root, cached: bool):
+    bench = root / "bench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(FAKE_RUN)
+    (bench / "helper.py").write_text("VALUE = 1\n")
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "setup_s", "better": "lower"},'
+        ' {"name": "wall_s", "better": "lower"}]}'
+    )
+    if cached:
+        py_compile.compile(str(bench / "helper.py"), doraise=True)
+    return root
+
+
+def run_ab(tmp_path, capsys, *args):
+    base = fake_checkout(tmp_path / "base", cached=True)
+    new = fake_checkout(tmp_path / "new", cached=False)
+    assert ab.main([str(base), str(new), "--workload", "w", "--pairs", "3",
+                    "--out", str(tmp_path / "out"), *args]) == 0
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_seed_reaches_each_arm(tmp_path, capsys):
+    report = run_ab(tmp_path, capsys, "--seed", "7")
+    assert report["seed"] == 7
+    pairs = [tuple(pair) for pair in report["metrics"]["wall_s"]["pairs"]]
+    assert pairs == [(7.0, 7.0)] * 3
+
+
+def test_arms_share_one_bytecode_cache_state(tmp_path, capsys, monkeypatch):
+    """Only the base holds ``__pycache__`` and bytecode writing is off, the
+    state that once read a start-up-only slowdown; both arms still read
+    their own bytecode alike: cold on their first run, cached after."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    report = run_ab(tmp_path, capsys)
+    pairs = [tuple(pair) for pair in report["metrics"]["setup_s"]["pairs"]]
+    assert pairs == [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0)]
+    assert not any((tmp_path / "out").glob("pycache-*"))

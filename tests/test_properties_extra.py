@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metadata_store import ENTRIES_PER_LINE
+from repro.core.metadata_store import ENTRIES_PER_LINE, WAY_MASK
 from repro.core.triage import TriageConfig, TriagePrefetcher
 from repro.prefetchers.isb import IsbPrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
@@ -73,18 +73,20 @@ def test_dram_completions_monotone_per_request_time(reqs):
 def _assert_store_invariants(store) -> None:
     """Structural invariants of the set-associative metadata arrays."""
     assert store.occupancy() <= store.capacity_entries
-    assert sum(len(row) for row in store._rows.values()) == store.occupancy()
-    for set_idx, row in store._rows.items():
-        # Each set holds at most one line's worth of entries, every entry
-        # sits at its own way in its trigger's set, and the trigger index
-        # maps exactly the resident entries.
-        assert 0 <= set_idx < store.num_sets
-        assert len(row) <= ENTRIES_PER_LINE
-        for way, entry in enumerate(row):
-            assert entry.way == way
-            assert entry.trigger & (store.num_sets - 1) == set_idx
-            assert entry.confidence in (0, 1)
-            assert store._entries[entry.trigger] is entry
+    assert len(store._rows) == store.capacity_entries
+    assert sum(store._fill) == store.occupancy()
+    for set_idx in range(store.num_sets):
+        # Each set's row holds its filled ways first and nothing after,
+        # every trigger sits in its own set, its packed entry records the
+        # way it holds in the row, and the trigger index maps exactly the
+        # resident entries.
+        row = store._rows[set_idx * ENTRIES_PER_LINE : (set_idx + 1) * ENTRIES_PER_LINE]
+        filled = store._fill[set_idx]
+        assert filled <= ENTRIES_PER_LINE
+        assert row[filled:] == [None] * (ENTRIES_PER_LINE - filled)
+        for way, trigger in enumerate(row[:filled]):
+            assert trigger & (store.num_sets - 1) == set_idx
+            assert store._entries[trigger] & WAY_MASK == way
 
 
 @settings(max_examples=25, deadline=None)

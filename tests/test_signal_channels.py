@@ -4,7 +4,7 @@ Store evictions, Hawkeye flips and partition decisions are columns of the
 epoch rows; the only simulator event is ``partition.apply``, one per real
 resize.  An observed ``mcf`` run that evicts from its store, flips Hawkeye
 predictions and moves its partition must give row sums equal to the
-component counters and the registry, in both analytic engines, and the
+component counters and the registry, in all three engines, and the
 queued engine's samples must carry the same columns.
 
 The run is the ``triage_dynamic@epoch500`` store cell of
@@ -73,6 +73,8 @@ def run(engine: str):
     session = obs.ObsSession()
     if engine == "single":
         simulate(trace, make(), machine=common.MACHINE, obs=session)
+    elif engine == "queued":
+        simulate_queued(trace, make(), machine=common.MACHINE, obs=session)
     else:
         simulate_multicore(
             [trace, trace], make,
@@ -86,7 +88,7 @@ def column_sum(rows, name: str) -> int:
     return sum(v for row in rows for k, v in row.items() if k.endswith("." + name))
 
 
-@pytest.mark.parametrize("engine", ["single", "multi"])
+@pytest.mark.parametrize("engine", ["single", "multi", "queued"])
 def test_each_signal_is_counted_once(engine):
     session, triages = run(engine)
     rows = session.sampler.rows

@@ -1,13 +1,17 @@
 """Paired A/B timing of two checkouts on one benchmark workload.
 
 Usage:
-  python tools/ab.py BASE NEW --workload W [--pairs N]
+  python tools/ab.py BASE NEW --workload W [--pairs N] [--seed N]
                      [--repeats R | --seconds S] [--out DIR]
 
 BASE and NEW are checkouts of this repository, for example the parent
 commit in a ``git worktree`` next to the working tree.  Each run is that
-checkout's own ``bench/run.py --workload W --trace 0 --json ...``, so
-each side measures its own code with its own harness.  Pairs run in
+checkout's own ``bench/run.py --workload W --seed N --trace 0 --json
+...``, so each side measures its own code with its own harness.  Both
+sides run under the same bytecode-cache state: each gets its own empty
+``PYTHONPYCACHEPREFIX`` directory, with bytecode writing on, so neither
+reads a ``__pycache__`` the other lacks (with ``PYTHONDONTWRITEBYTECODE``
+set, a checkout holding old caches starts faster on every run).  Pairs run in
 ABBA order (BASE first in even pairs, NEW first in odd ones), so a
 drift in host speed weighs on both sides alike.  A run whose record is
 not ``correct`` (a failed cell or a digest mismatch) stops the
@@ -30,6 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -155,12 +161,24 @@ def render(report: Dict[str, Dict]) -> str:
     return "\n".join(out)
 
 
-def run_bench(checkout: Path, workload: str, timing: List[str], out: Path) -> str:
+def arm_env(pycache: Path, environ=None) -> Dict[str, str]:
+    """One side's environment: bytecode cached under ``pycache`` only."""
+    env = dict(os.environ if environ is None else environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def run_bench(
+    checkout: Path, workload: str, seed: int, timing: List[str], out: Path,
+    env: Dict[str, str],
+) -> str:
     """One ``bench/run.py`` run of ``checkout``; returns its standard output."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-         "--trace", "0", "--json", str(out), *timing],
-        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+         "--seed", str(seed), "--trace", "0", "--json", str(out), *timing],
+        cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
     )
     return proc.stdout
 
@@ -171,6 +189,7 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=1, help="passed to bench/run.py")
     when = parser.add_mutually_exclusive_group()
     when.add_argument("--repeats", type=int, default=5)
     when.add_argument("--seconds", type=float)
@@ -188,26 +207,34 @@ def main(argv=None) -> int:
             parser.error(f"{side}: no bench/run.py under {path}")
     out_dir = args.out or Path(tempfile.mkdtemp(prefix="ab-"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    caches = Path(tempfile.mkdtemp(prefix="pycache-", dir=out_dir))
+    envs = {side: arm_env(caches / side) for side in checkouts}
     samples: Dict[str, List[Optional[Dict[str, float]]]] = {
         side: [None] * args.pairs for side in checkouts
     }
-    for pair, side in order(args.pairs):
-        where = f"pair {pair + 1} {side}"
-        print(f"[ab] {where} ...", file=sys.stderr, flush=True)
-        stdout = run_bench(
-            checkouts[side], args.workload, timing,
-            out_dir / f"{pair + 1:02d}-{side}.json",
-        )
-        try:
-            samples[side][pair] = parse_record(stdout, where)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        for pair, side in order(args.pairs):
+            where = f"pair {pair + 1} {side}"
+            print(f"[ab] {where} ...", file=sys.stderr, flush=True)
+            stdout = run_bench(
+                checkouts[side], args.workload, args.seed, timing,
+                out_dir / f"{pair + 1:02d}-{side}.json", envs[side],
+            )
+            try:
+                samples[side][pair] = parse_record(stdout, where)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+    finally:
+        shutil.rmtree(caches, ignore_errors=True)
     report = summarize(
         samples["base"], samples["new"], end_to_end_metrics(checkouts["new"])
     )
     print(render(report))
-    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "metrics": report}))
+    print(json.dumps({
+        "workload": args.workload, "pairs": args.pairs, "seed": args.seed,
+        "metrics": report,
+    }))
     return 0
 
 
