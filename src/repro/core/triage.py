@@ -139,16 +139,16 @@ class TriagePrefetcher(BasePrefetcher):
         #: attached by the simulation engine when observability is on; it
         #: receives one ``partition.apply`` event per resize.
         self.events = None
-        # Resolved once: ``observe`` runs on every L2 miss.
+        # Resolved once, since ``observe`` runs on every L2 miss: PC
+        # localisation, the controller when it also watches the data side,
+        # and the store's training call (the ablation's always-overwrite
+        # when confidence is off).
         self._pc_localized = config.pc_localized
-        #: The controller when it also watches the data side, else None.
         self._utility = (
             self.controller
             if isinstance(self.controller, UtilityPartitionController)
             else None
         )
-        #: The store's training call: confidence-guarded, or the ablation's
-        #: always-overwrite.
         self._learn = (
             self.store.update if config.use_confidence else self.store.overwrite
         )
