@@ -165,7 +165,7 @@ class MetadataStore:
             raise ValueError("capacity must be non-negative")
         survivors = self._pairs()
         self.capacity_bytes = capacity_bytes
-        self._near.clear()  # near copies would go stale across re-indexing
+        self._near.clear()  # not every survivor may fit the new geometry
         self.num_sets = _floor_pow2(capacity_bytes // (ENTRY_BYTES * ENTRIES_PER_LINE))
         self._entries = {}
         self._rows = [None] * (self.num_sets * ENTRIES_PER_LINE)
@@ -218,7 +218,7 @@ class MetadataStore:
         self.lookups += 1
         near = self._near
         if trigger in near:
-            del near[trigger]  # re-inserted below as most recently used
+            del near[trigger]  # re-insert as the most recently used
             near[trigger] = None
             self.near_hits += 1
             packed = self._entries[trigger]
