@@ -99,11 +99,10 @@ class SampleTable:
     """Set-associative sample store, LRU-replaced within each set.
 
     Keys are trigger line addresses.  Each set is a dict kept in recency
-    order, least recent first: a probe pops and re-inserts its trigger,
+    order, least recent first: a hit pops and re-inserts its trigger,
     and the sample to drop is the first key.  The table is metadata
     *about* metadata: it never holds prefetch targets, only evidence of
     whether a (PC, pair) relationship repeats.
-    :meth:`TriangelPrefetcher._train` works on :attr:`sets` directly.
     """
 
     def __init__(self, num_sets: int = 64, num_ways: int = 4):
@@ -111,26 +110,30 @@ class SampleTable:
             raise ValueError("sample table geometry must be positive")
         self.num_sets = num_sets
         self.num_ways = num_ways
-        self.sets: List[Dict[int, Sample]] = [{} for _ in range(num_sets)]
+        self._sets: List[Dict[int, Sample]] = [{} for _ in range(num_sets)]
 
-    def probe(self, trigger: int) -> Optional[Sample]:
-        """Return the live sample for ``trigger`` (refreshing its LRU
-        position), or ``None``."""
-        bucket = self.sets[trigger % self.num_sets]
+    def update(
+        self, trigger: int, pc: int, successor: int, allocate: bool
+    ) -> Optional[Sample]:
+        """Record ``(pc, successor)`` for ``trigger`` as its most recent
+        sample and return the sample it replaced.
+
+        A hit always refreshes; a miss inserts only when ``allocate``,
+        evicting the set's least recent sample if the set is full, and
+        returns ``None``.
+        """
+        bucket = self._sets[trigger % self.num_sets]
         sample = bucket.pop(trigger, None)
         if sample is not None:
-            bucket[trigger] = sample
+            bucket[trigger] = (pc, successor)
+        elif allocate:
+            bucket[trigger] = (pc, successor)
+            if len(bucket) > self.num_ways:
+                del bucket[next(iter(bucket))]
         return sample
 
-    def insert(self, trigger: int, pc: int, successor: int) -> None:
-        bucket = self.sets[trigger % self.num_sets]
-        bucket.pop(trigger, None)
-        bucket[trigger] = (pc, successor)
-        if len(bucket) > self.num_ways:
-            del bucket[next(iter(bucket))]
-
     def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self.sets)
+        return sum(len(bucket) for bucket in self._sets)
 
 
 class TriangelPrefetcher(TriagePrefetcher):
@@ -226,9 +229,9 @@ class TriangelPrefetcher(TriagePrefetcher):
         let the store learn it unless the PC's confidence gates it out."""
         config = self.config
         if config.sampling:
-            table = self.sample_table
-            bucket = table.sets[prev % table.num_sets]
-            sample = bucket.pop(prev, None)
+            sample = self.sample_table.update(
+                prev, stream_pc, line, prev % config.sample_rate == 0
+            )
             if sample is not None:
                 self.sample_hits += 1
                 self._bump(self._reuse_conf, stream_pc, +1)
@@ -238,11 +241,6 @@ class TriangelPrefetcher(TriagePrefetcher):
                         self._bump(self._pattern_conf, stream_pc, +1)
                     else:
                         self._bump(self._pattern_conf, stream_pc, -1)
-                bucket[prev] = (stream_pc, line)
-            elif prev % config.sample_rate == 0:
-                bucket[prev] = (stream_pc, line)
-                if len(bucket) > table.num_ways:
-                    del bucket[next(iter(bucket))]
             # Refreshing an existing correlation is always allowed; only
             # *new* allocations are gated by the PC's sampled confidence
             # (unsampled PCs start at the threshold).

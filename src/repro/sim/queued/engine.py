@@ -150,6 +150,7 @@ def simulate_queued(
 
     feedback = pf is not None and pf.wants_feedback
     drains = pf is not None and pf.offchip_metadata
+    trace_length = len(trace)
     for index, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(
         zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
     ):
@@ -217,15 +218,15 @@ def simulate_queued(
                 for _ in range(max(1, metadata_bytes // 64)):
                     dram.service(line ^ 0x5A5A, now, is_write=False)
 
-        if run is not None and (index + 1) % OBS_SAMPLE_ACCESSES == 0:
+        # The last access closes a row too, so the rows' per-interval
+        # columns sum to the run's totals.
+        if run is not None and (
+            (index + 1) % OBS_SAMPLE_ACCESSES == 0 or index + 1 == trace_length
+        ):
             sample_obs(index + 1)
 
     while outstanding:
         now = max(now, heapq.heappop(outstanding))
-    if run is not None and len(trace) % OBS_SAMPLE_ACCESSES:
-        # A closing row for the accesses after the last full interval, so
-        # the rows' per-interval columns sum to the run's totals.
-        sample_obs(len(trace))
 
     measured_accesses = len(trace) - min(warmup_accesses, len(trace))
     traffic = {

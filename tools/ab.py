@@ -161,9 +161,9 @@ def render(report: Dict[str, Dict]) -> str:
     return "\n".join(out)
 
 
-def arm_env(pycache: Path, environ=None) -> Dict[str, str]:
+def arm_env(pycache: Path) -> Dict[str, str]:
     """One side's environment: bytecode cached under ``pycache`` only."""
-    env = dict(os.environ if environ is None else environ)
+    env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPYCACHEPREFIX"] = str(pycache)
     return env
