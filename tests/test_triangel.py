@@ -99,6 +99,9 @@ def test_lookahead_must_be_positive():
 
 def test_sample_table_is_lru_within_a_set():
     table = SampleTable(num_sets=1, num_ways=2)
+    # A miss inserts only when the trigger is sampled.
+    assert table.update(1, 0xA, 11, allocate=False) is None
+    assert table.occupancy() == 0
     assert table.update(1, 0xA, 11, allocate=True) is None
     assert table.update(2, 0xA, 12, allocate=True) is None
     # Refresh 1: now 2 is the LRU way.
@@ -108,14 +111,6 @@ def test_sample_table_is_lru_within_a_set():
     assert table.update(1, 0xA, 21, allocate=False) == (0xA, 21)
     assert table.update(3, 0xA, 13, allocate=False) == (0xA, 13)
     assert table.occupancy() == 2
-
-
-def test_sample_table_inserts_a_miss_only_when_allocating():
-    table = SampleTable(num_sets=1, num_ways=2)
-    assert table.update(1, 0xA, 11, allocate=False) is None
-    assert table.occupancy() == 0
-    assert table.update(1, 0xA, 11, allocate=True) is None
-    assert table.occupancy() == 1
 
 
 def test_sample_table_rejects_bad_geometry():
