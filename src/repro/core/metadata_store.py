@@ -10,6 +10,14 @@ by the trigger address -- exactly how this class is organized.  A
 resident entry is one packed int in a ``trigger -> entry`` dict (see
 ``CONFIDENCE``), so installing one allocates no object.
 
+Tag compression (paper Section 3.2): a full line address does not fit
+twice in a 4-byte entry, so an entry stores its successor's *compressed
+tag*, a small id (10 bits in the paper) that the store's tag table maps
+to the high address bits above the set_id.  The table has ``2**tag_bits``
+ids; when it runs out, the least recently used one is reassigned, and
+entries still referencing it silently decompress to the new owner's
+tag -- an occasional wrong prefetch, counted in ``recycled``.
+
 Anything evicted is simply discarded: Triage has no off-chip metadata.
 Replacement is the modified Hawkeye policy by default (``policy="lru"``
 reproduces the paper's Figure 9 ablation, ``policy="reuse"`` is the
@@ -31,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.compressed_tags import CompressedTagTable
 from repro.replacement.base import ReplacementPolicy
 from repro.replacement.hawkeye import HawkeyePolicy, HawkeyePredictor
 from repro.replacement.lru import LruPolicy
@@ -104,20 +111,34 @@ class MetadataStore:
         self._near_capacity = near_entries if index_mode == "nonuniform" else 0
         #: Hawkeye's PC predictor; persists across resizes.
         self.predictor = HawkeyePredictor()
-        self.tag_table = CompressedTagTable(tag_bits) if use_compressed_tags else None
+        #: The tag table (None without compression): tag -> id in
+        #: recency order, least recent first, and id -> tag.  Ids are
+        #: handed out in order while the table has room, so the next
+        #: fresh id is the table's size.
+        self._tag_ids: Optional[Dict[int, int]] = None
+        self._id_tags: Optional[Dict[int, int]] = None
+        self._tag_capacity = 0
+        if use_compressed_tags:
+            if tag_bits <= 0:
+                raise ValueError("tag_bits must be positive")
+            self._tag_ids = {}
+            self._id_tags = {}
+            self._tag_capacity = 1 << tag_bits
+        #: Times a tag id was reassigned to a new tag.
+        self.recycled = 0
         self.track_reuse = track_reuse
         self.reuse_counts: Dict[int, int] = {}
         # Stats.
         self.lookups = 0
         self.lookup_hits = 0
-        self.updates = 0
         self.inserts = 0
         self.evictions = 0
         #: Updates whose successor agreed/conflicted with the stored one;
         #: their ratio estimates pair stability (prefetch accuracy).
         self.update_agreements = 0
         self.update_conflicts = 0
-        self.llc_accesses = 0  # energy model: each lookup/update touches LLC
+        #: Updates a zero-capacity store discarded.
+        self.discards = 0
         #: Lookups served by the near index level (non-uniform mode only);
         #: these are *not* counted into ``llc_accesses``.
         self.near_hits = 0
@@ -134,12 +155,28 @@ class MetadataStore:
         self._rows: List[Optional[int]] = []
         self._fill = bytearray()
         self._policy: Optional[ReplacementPolicy] = None
-        #: The policy, when it is a sampling Hawkeye, and its sampled-set
-        #: stride (hot-path shortcuts, refreshed by :meth:`resize`).
+        #: Hot-path shortcuts, refreshed by :meth:`resize`: the set index
+        #: mask (None without sets), and the policy when it is a sampling
+        #: Hawkeye, with the mask of a trigger's bits below its sampled-set
+        #: stride (a power of two, as the set count is): a trigger's set
+        #: is sampled when they are all 0.
+        self._set_mask: Optional[int] = None
         self._hawkeye: Optional[HawkeyePolicy] = None
-        self._sample_stride = 1
+        self._sample_mask = 0
         if not self.unbounded:
             self.resize(capacity_bytes)
+
+    @property
+    def updates(self) -> int:
+        """Calls to :meth:`update`: each installs, agrees, conflicts or is
+        discarded."""
+        return self.inserts + self.update_agreements + self.update_conflicts + self.discards
+
+    @property
+    def llc_accesses(self) -> int:
+        """LLC accesses, for the energy model: every lookup the near
+        level did not serve, and every update."""
+        return self.lookups - self.near_hits + self.updates
 
     # -- geometry --------------------------------------------------------
 
@@ -171,9 +208,11 @@ class MetadataStore:
         self._rows = [None] * (self.num_sets * ENTRIES_PER_LINE)
         self._fill = bytearray(self.num_sets)
         self._policy = None
+        self._set_mask = None
         self._hawkeye = None
         if self.num_sets == 0:
             return
+        self._set_mask = self.num_sets - 1
         if self.policy_name == "hawkeye":
             self._policy = self._hawkeye = HawkeyePolicy(
                 self.num_sets,
@@ -181,7 +220,7 @@ class MetadataStore:
                 predictor=self.predictor,
                 auto_observe=False,
             )
-            self._sample_stride = self._hawkeye.sample_stride
+            self._sample_mask = self._hawkeye.sample_stride - 1
         elif self.policy_name == "lru":
             self._policy = LruPolicy(self.num_sets, ENTRIES_PER_LINE)
         elif self.policy_name == "reuse":
@@ -207,9 +246,11 @@ class MetadataStore:
         """Probe the store; return the predicted successor line or None.
 
         Updates per-entry replacement state on hits (the paper probes the
-        replacement predictors on every metadata access) but does NOT feed
-        the Hawkeye sampler -- the owner decides that after learning
-        whether the resulting prefetch was redundant.
+        replacement predictors on every metadata access).  A miss feeds
+        the Hawkeye sampler at once: a missing entry can never produce a
+        redundant prefetch.  A hit does not -- the owner decides that
+        after learning whether the resulting prefetch was redundant
+        (:meth:`observe_access`).
 
         In non-uniform index mode the near level is probed first: a near
         hit is served without charging an LLC access or touching the far
@@ -223,13 +264,15 @@ class MetadataStore:
             self.near_hits += 1
             packed = self._entries[trigger]
         else:
-            self.llc_accesses += 1
             packed = self._entries.get(trigger)
             if packed is None:
+                hawkeye = self._hawkeye  # observe_access, inlined
+                if hawkeye is not None and not trigger & self._sample_mask:
+                    hawkeye.observe(trigger & self._set_mask, trigger, pc)
                 return None
             policy = self._policy
             if policy is not None:
-                policy.on_hit(trigger & (self.num_sets - 1), packed & WAY_MASK, pc)
+                policy.on_hit(trigger & self._set_mask, packed & WAY_MASK, pc)
             if self._near_capacity:
                 near[trigger] = None
                 if len(near) > self._near_capacity:
@@ -238,11 +281,12 @@ class MetadataStore:
         if self.track_reuse:
             self.reuse_counts[trigger] = self.reuse_counts.get(trigger, 0) + 1
         successor = packed >> SUCCESSOR_SHIFT
-        if self.tag_table is None:
+        id_tags = self._id_tags
+        if id_tags is None:
             return successor
-        tag = self.tag_table.expand(successor >> SET_ID_BITS)
+        tag = id_tags.get(successor >> SET_ID_BITS)
         if tag is None:
-            return None  # compressed tag recycled away
+            return None  # the id has no owner
         return tag << SET_ID_BITS | successor & SET_ID_MASK
 
     def update(self, trigger: int, next_line: int, pc: int = 0) -> None:
@@ -252,41 +296,51 @@ class MetadataStore:
         neighbors re-arm the counter, a first disagreement only drops it,
         and the neighbor is replaced when confidence is already 0.
         """
-        self.updates += 1
-        self.llc_accesses += 1
         # The successor's tag is compressed even when nothing is stored:
         # the table's LRU order is part of the model.
         successor = next_line
-        if self.tag_table is not None:
-            successor = (
-                self.tag_table.compress(next_line >> SET_ID_BITS) << SET_ID_BITS
-                | next_line & SET_ID_MASK
-            )
+        tag_ids = self._tag_ids
+        if tag_ids is not None:
+            tag = next_line >> SET_ID_BITS
+            compact = tag_ids.pop(tag, None)
+            if compact is None:
+                if len(tag_ids) < self._tag_capacity:
+                    compact = len(tag_ids)
+                else:
+                    # Recycle the least recently used id: stale
+                    # references to it now decompress to ``tag``.
+                    compact = tag_ids.pop(next(iter(tag_ids)))
+                    self.recycled += 1
+                self._id_tags[compact] = tag
+            tag_ids[tag] = compact
+            successor = compact << SET_ID_BITS | next_line & SET_ID_MASK
         entries = self._entries
         packed = entries.get(trigger)
         if packed is None:
-            if self.unbounded:
-                entries[trigger] = successor << SUCCESSOR_SHIFT | CONFIDENCE
-                self.inserts += 1
+            set_mask = self._set_mask
+            if set_mask is None:
+                if self.unbounded:
+                    entries[trigger] = successor << SUCCESSOR_SHIFT | CONFIDENCE
+                    self.inserts += 1
+                else:
+                    self.discards += 1  # zero-capacity store: metadata is discarded
                 return
-            num_sets = self.num_sets
-            if not num_sets:
-                return  # zero-capacity store: metadata is discarded
-            set_idx = trigger & (num_sets - 1)
+            set_idx = trigger & set_mask
             fill = self._fill
             way = fill[set_idx]
             policy = self._policy
+            slot = set_idx * ENTRIES_PER_LINE
             if way < ENTRIES_PER_LINE:
                 fill[set_idx] = way + 1
             else:
                 way = policy.victim(set_idx, pc)
-                victim = self._rows[set_idx * ENTRIES_PER_LINE + way]
+                victim = self._rows[slot + way]
                 del entries[victim]
                 if self._near_capacity:
                     self._near.pop(victim, None)  # near holds residents only
                 policy.on_evict(set_idx, way)
                 self.evictions += 1
-            self._rows[set_idx * ENTRIES_PER_LINE + way] = trigger
+            self._rows[slot + way] = trigger
             entries[trigger] = successor << SUCCESSOR_SHIFT | CONFIDENCE | way
             policy.on_fill(set_idx, way, pc)
             self.inserts += 1
@@ -301,11 +355,9 @@ class MetadataStore:
             entries[trigger] = (
                 successor << SUCCESSOR_SHIFT | CONFIDENCE | packed & WAY_MASK
             )
-        hawkeye = self._hawkeye
-        if hawkeye is not None:
-            set_idx = trigger & (self.num_sets - 1)
-            if not set_idx % self._sample_stride:
-                hawkeye.observe(set_idx, trigger, pc)
+        hawkeye = self._hawkeye  # observe_access, inlined
+        if hawkeye is not None and not trigger & self._sample_mask:
+            hawkeye.observe(trigger & self._set_mask, trigger, pc)
 
     def overwrite(self, trigger: int, next_line: int, pc: int = 0) -> None:
         """:meth:`update` without the confidence bit's protection: a
@@ -319,17 +371,17 @@ class MetadataStore:
     def observe_access(self, trigger: int, pc: int) -> None:
         """Feed one metadata access to the Hawkeye sampler (if active)."""
         hawkeye = self._hawkeye
-        if hawkeye is not None:
-            set_idx = trigger & (self.num_sets - 1)
-            if not set_idx % self._sample_stride:
-                hawkeye.observe(set_idx, trigger, pc)
+        if hawkeye is not None and not trigger & self._sample_mask:
+            hawkeye.observe(trigger & self._set_mask, trigger, pc)
 
     def record_prefetch_outcome(self, trigger: int, pc: int, redundant: bool) -> None:
         """Delayed training: count the metadata access behind a prefetch.
 
         Redundant prefetches (the line was already cached) are ignored so
         the replacement policy only values metadata that produces real
-        memory-level benefit (paper Section 3).
+        memory-level benefit (paper Section 3).  The prefetchers make
+        that test themselves and call :meth:`observe_access`; this entry
+        point stays because ``bench/layers.py`` wraps it by name.
         """
         if not redundant:
             self.observe_access(trigger, pc)

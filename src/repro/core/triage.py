@@ -181,15 +181,9 @@ class TriagePrefetcher(BasePrefetcher):
                 self._note_controller_access(trigger)
             successor = store.lookup(trigger, stream_pc)
             if successor is None:
-                # A lookup miss is a metadata access that, by definition,
-                # cannot produce a redundant prefetch: train immediately.
-                store.observe_access(trigger, stream_pc)
                 break
-            candidates.append(
-                PrefetchCandidate(successor, context=(trigger, stream_pc), owner=self)
-            )
+            candidates.append(PrefetchCandidate(successor, (trigger, stream_pc), self))
             trigger = successor
-        self.metadata_llc_accesses = store.llc_accesses
 
         # Training: correlate with this PC's previous access.
         prev = self.training_unit.observe(stream_pc, line)
@@ -206,6 +200,11 @@ class TriagePrefetcher(BasePrefetcher):
         # nothing (paper Section 3).
         if source != "redundant":
             self.store.observe_access(*candidate.context)
+
+    @property
+    def wants_feedback(self) -> bool:
+        """Feedback only feeds the store's Hawkeye sampler."""
+        return self.store.policy_name == "hawkeye"
 
     # -- dynamic partitioning --------------------------------------------------
 

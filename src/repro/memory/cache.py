@@ -97,8 +97,8 @@ class _Geometry:
 # Each resident line maps to one int: bit 0 is the dirty bit, bits 1-2
 # the prefetch kind that brought the line in and has not yet seen a
 # demand touch (0: none, PF_L1, PF_L2), and the bits from WAY_SHIFT up
-# the way the line occupies.  CacheHierarchy's inlined L1/L2 paths use
-# the same encoding.
+# the way the line occupies.  The hierarchy's L2 keeps the dirty and
+# prefetch bits alone (it is never partitioned, so it needs no way).
 
 DIRTY = 1
 PF_L1 = 2

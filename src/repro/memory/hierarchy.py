@@ -19,37 +19,22 @@ together with the dirty victim that miss evicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.memory.address import LINE_SIZE
-from repro.memory.cache import (
-    DIRTY,
-    PF_L1,
-    PF_L2,
-    PF_MASK,
-    WAY_SHIFT,
-    Cache,
-    LruCache,
-    _Geometry,
-)
+from repro.memory.cache import DIRTY, PF_L1, PF_L2, Cache, LruCache, _Geometry
 from repro.memory.dram import TrafficCounter
 from repro.replacement.base import ReplacementPolicy
 
-#: Levels an access can be satisfied at.
-LEVELS = ("l1", "l2", "llc", "dram")
-
-#: What :meth:`CacheHierarchy.access` returns: ``(hit_level,
-#: prefetch_hit_kind)``.  ``hit_level`` is one of :data:`LEVELS`;
-#: ``prefetch_hit_kind`` is the prefetcher kind (``"l1"``/``"l2"``) when
-#: the access was the first demand touch of a prefetched L2 line, else
-#: None.
-Outcome = Tuple[str, Optional[str]]
-
-#: The outcome of every L1 hit (L1 lines are never prefetched).
-L1_HIT: Outcome = ("l1", None)
-_LLC: Outcome = ("llc", None)
-_DRAM: Outcome = ("dram", None)
+#: What :meth:`CacheHierarchy.access` returns for an L1D miss: a plain
+#: L2 hit; the first demand touch of an L2 line the L1 stride prefetcher
+#: or the L2 prefetcher brought in; an LLC hit; a DRAM fill.  The two
+#: first-touch codes are the line's packed prefetch bits shifted down.
+L2_HIT = 0
+L2_PF_L1 = PF_L1 >> 1
+L2_PF_L2 = PF_L2 >> 1
+LLC_HIT = 3
+DRAM_FILL = 4
 
 #: :class:`L1D` outcome codes: the access hit, or it missed and evicted
 #: no dirty line.  Any other code is a miss that evicted the dirty line
@@ -98,14 +83,34 @@ class L1D:
         return codes
 
 
-def trains_l2_prefetcher(hit_level: str, prefetch_hit_kind: Optional[str]) -> bool:
+class L2:
+    """A private LRU L2: per set, a dict ``line -> state`` in recency
+    order, least recent first, ``state`` being the :mod:`~repro.memory.cache`
+    dirty and prefetch bits.  The L2 is never way-partitioned, so it
+    keeps no way positions: a set fills until it holds ``ways`` lines,
+    then a fill evicts its first key.  :class:`CacheHierarchy` works on
+    the sets directly."""
+
+    def __init__(self, size: int, ways: int):
+        geometry = _Geometry("L2", size, ways, LINE_SIZE)
+        self.num_sets = geometry.num_sets
+        self.set_mask = geometry.set_mask
+        self.ways = ways
+        self.sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+
+    def contains(self, line: int) -> bool:
+        return line in self.sets[line & self.set_mask]
+
+
+def trains_l2_prefetcher(outcome: int) -> bool:
     """True when an access outcome is part of the L2 miss + prefetch-hit
-    stream the L2 prefetcher trains on (paper Figure 4).
+    stream the L2 prefetcher trains on (paper Figure 4): anything but
+    :data:`L1D_HIT` and a plain :data:`L2_HIT`.
 
     The analytic engines inline this test (a call per access costs a
     frame); keep them in sync.
     """
-    return prefetch_hit_kind is not None or hit_level in ("llc", "dram")
+    return outcome > L2_HIT
 
 
 @dataclass(slots=True)
@@ -143,13 +148,12 @@ class CacheHierarchy:
     each core's L1D.
 
     The L1D itself runs ahead as an :class:`L1D`; :meth:`access`
-    takes the accesses that missed it, and :meth:`l1_hit` counts the
-    ones that hit.  The L2 is always an :class:`LruCache` and the
-    demand and prefetch paths work on its set dicts directly, with the
-    same packed line state and way bookkeeping as :meth:`LruCache.fill`.
-    The LLC is an :class:`LruCache` under ``llc_policy="lru"`` and a
-    policy-driven :class:`Cache` otherwise; it is only reached through
-    its methods.
+    takes the accesses that missed it.  The engines count each core's
+    ``accesses`` and ``l1_hits`` from the L1D's codes.  The L2 is an
+    :class:`L2`, whose sets the demand and prefetch paths work on
+    directly.  The LLC is an :class:`LruCache` under ``llc_policy="lru"``
+    and a policy-driven :class:`Cache` otherwise; it is only reached
+    through its methods.
     """
 
     def __init__(
@@ -165,83 +169,85 @@ class CacheHierarchy:
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
         self.n_cores = n_cores
-        self.l2s = [LruCache(f"L2_{c}", l2_size, l2_ways) for c in range(n_cores)]
+        self.l2s = [L2(l2_size, l2_ways) for _ in range(n_cores)]
         llc_size = llc_size_per_core * n_cores
         self.llc: Union[LruCache, Cache] = (
             LruCache("LLC", llc_size, llc_ways)
             if llc_policy == "lru"
             else Cache("LLC", llc_size, llc_ways, policy=llc_policy)
         )
+        #: Write-back and metadata bytes; :meth:`traffic_bytes` adds the
+        #: demand and prefetch bytes the DRAM fill counters imply.
         self.traffic = traffic if traffic is not None else TrafficCounter()
         #: The traffic counter's byte dict; the categories used here are
         #: fixed, so the hot paths add to it without validation.
         self._bytes = self.traffic.bytes_by_category
         self.counters = [CoreCounters() for _ in range(n_cores)]
 
+    def traffic_bytes(self) -> Dict[str, int]:
+        """Off-chip bytes by category.  Every DRAM fill moves one line,
+        so demand and prefetch bytes follow from the cores' counters
+        (and restart with them); the traffic counter holds the rest."""
+        out = self.traffic.snapshot()
+        for counters in self.counters:
+            out["demand"] += LINE_SIZE * counters.dram_accesses
+            out["prefetch"] += LINE_SIZE * (
+                counters.prefetch_fills_from_dram + counters.l1pf_fills_from_dram
+            )
+        return out
+
     # -- demand path ---------------------------------------------------------
 
-    def l1_hit(self, core: int) -> Outcome:
-        """Count a demand access from ``core`` that hit its L1D."""
+    def count_demand(self, core: int, l1_codes: List[int], start: int, stop: int) -> None:
+        """Count ``core``'s demand accesses ``start:stop``, given every
+        access's :class:`L1D` code: each is an access, each
+        :data:`L1D_HIT` an L1 hit (:meth:`access` counts the misses by
+        the level that served them)."""
         counters = self.counters[core]
-        counters.accesses += 1
-        counters.l1_hits += 1
-        return L1_HIT
+        counters.accesses += stop - start
+        counters.l1_hits += l1_codes[start:stop].count(L1D_HIT)
 
-    def access(
-        self, core: int, pc: int, line: int, is_write: bool, l1: int
-    ) -> Outcome:
+    def access(self, core: int, pc: int, line: int, is_write: bool, l1: int) -> int:
         """Issue one demand access that missed ``core``'s L1D.
 
         ``l1`` is the miss's :class:`L1D` code: :data:`L1D_MISS`,
         or the dirty L1D victim, which is written back once the missing
         line has been filled into the L2 (into the L2 if it still holds
-        the victim, else into the LLC, else to DRAM).  Returns
-        ``(hit_level, prefetch_hit_kind)`` (see :data:`Outcome`).
+        the victim, else into the LLC, else to DRAM).  Returns the
+        outcome: :data:`L2_HIT`, :data:`L2_PF_L1`, :data:`L2_PF_L2`,
+        :data:`LLC_HIT` or :data:`DRAM_FILL`.
         """
         counters = self.counters[core]
-        counters.accesses += 1
         l2 = self.l2s[core]
-        set_idx = line & l2.set_mask
-        lines = l2.sets[set_idx]
+        lines = l2.sets[line & l2.set_mask]
         state = lines.pop(line, None)
         if state is not None:
-            if is_write:
-                state |= DIRTY
-            outcome = "l2", None
-            if state & PF_MASK:
-                if state & PF_L2:
-                    outcome = "l2", "l2"
-                    counters.l2_prefetch_hits += 1
-                else:
-                    outcome = "l2", "l1"
-                    counters.l1pf_useful += 1
-                state &= ~PF_MASK
-            lines[line] = state
+            # A touch clears the prefetch bits; ``is_write`` is 0 or 1.
+            lines[line] = state & DIRTY | is_write
+            outcome = state >> 1 & 3
+            if outcome == L2_PF_L2:
+                counters.l2_prefetch_hits += 1
+            elif outcome:
+                counters.l1pf_useful += 1
             counters.l2_hits += 1
         else:
             llc = self.llc
             dirty_victim = llc.fetch(line, pc)
             if dirty_victim is None:
                 counters.llc_hits += 1
-                outcome = _LLC
+                outcome = LLC_HIT
             else:
                 counters.dram_accesses += 1
-                self._bytes["demand"] += LINE_SIZE
                 if dirty_victim:
                     self._bytes["writeback"] += LINE_SIZE
-                outcome = _DRAM
+                outcome = DRAM_FILL
             # Fill the L2 (``line`` just missed it).
-            dirty = DIRTY if is_write else 0
-            free = l2.free_ways[set_idx]
-            if free:
-                lines[line] = heappop(free) << WAY_SHIFT | dirty
-            else:
+            if len(lines) == l2.ways:
                 for victim in lines:
                     break
-                state = lines.pop(victim)
-                lines[line] = state >> WAY_SHIFT << WAY_SHIFT | dirty
-                if state & DIRTY and not llc.mark_dirty(victim):
+                if lines.pop(victim) & DIRTY and not llc.mark_dirty(victim):
                     self._bytes["writeback"] += LINE_SIZE
+            lines[line] = is_write
         if l1 >= 0:
             # The L1D's dirty victim.  L2 does not back-invalidate L1,
             # so it may have evicted the line already: then the LLC, or
@@ -268,8 +274,7 @@ class CacheHierarchy:
         """
         counters = self.counters[core]
         l2 = self.l2s[core]
-        set_idx = line & l2.set_mask
-        lines = l2.sets[set_idx]
+        lines = l2.sets[line & l2.set_mask]
         l2_prefetch = kind == "l2"
         if line in lines:
             if l2_prefetch:
@@ -292,22 +297,16 @@ class CacheHierarchy:
                 counters.prefetch_fills_from_dram += 1
             else:
                 counters.l1pf_fills_from_dram += 1
-            self._bytes["prefetch"] += LINE_SIZE
             if dirty_victim:
                 self._bytes["writeback"] += LINE_SIZE
             source = "dram"
         # Fill the L2 (``line`` just missed it).
-        bits = PF_L2 if l2_prefetch else PF_L1
-        free = l2.free_ways[set_idx]
-        if free:
-            lines[line] = heappop(free) << WAY_SHIFT | bits
-        else:
+        if len(lines) == l2.ways:
             for victim in lines:
                 break
-            state = lines.pop(victim)
-            lines[line] = state >> WAY_SHIFT << WAY_SHIFT | bits
-            if state & DIRTY and not llc.mark_dirty(victim):
+            if lines.pop(victim) & DIRTY and not llc.mark_dirty(victim):
                 self._bytes["writeback"] += LINE_SIZE
+        lines[line] = PF_L2 if l2_prefetch else PF_L1
         return source
 
     # -- LLC way partitioning -----------------------------------------------

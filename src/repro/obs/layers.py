@@ -23,7 +23,6 @@ LAYERS = (
     ("repro.prefetchers", "prefetchers"),
     ("repro.core.triage", "core.triage"),
     ("repro.core.metadata_store", "core.metadata_store"),
-    ("repro.core.compressed_tags", "core.metadata_store"),
     ("repro.core.training_unit", "core.training_unit"),
     ("repro.core.partition", "core.partition"),
     ("repro.core.utility_partition", "core.partition"),

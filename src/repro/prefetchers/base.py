@@ -45,8 +45,6 @@ class BasePrefetcher:
         #: :meth:`drain_metadata_traffic` call (MISB uses this and sets
         #: :attr:`offchip_metadata`; on-chip prefetchers leave it at zero).
         self.pending_metadata_bytes = 0
-        #: On-chip (LLC) metadata accesses, for the energy model.
-        self.metadata_llc_accesses = 0
         #: Off-chip metadata accesses, for the energy model.
         self.metadata_dram_accesses = 0
 

@@ -63,9 +63,5 @@ class HybridPrefetcher(BasePrefetcher):
         return sum(c.drain_metadata_traffic() for c in self.components)
 
     @property
-    def total_metadata_llc_accesses(self) -> int:
-        return sum(c.metadata_llc_accesses for c in self.components)
-
-    @property
     def total_metadata_dram_accesses(self) -> int:
         return sum(c.metadata_dram_accesses for c in self.components)

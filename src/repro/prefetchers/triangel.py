@@ -175,7 +175,6 @@ class TriangelPrefetcher(TriagePrefetcher):
             utility.usefulness = self.store.pair_stability()
 
         candidates = self._walk(line, stream_pc)
-        self.metadata_llc_accesses = self.store.llc_accesses
 
         # Training: correlate with this PC's previous access, gated by
         # the Sample Table's verdict on this PC.
@@ -194,7 +193,7 @@ class TriangelPrefetcher(TriagePrefetcher):
 
         Mirrors Triage's chain walk hop for hop (each hop is a metadata
         access; a lookup miss trains the store's replacement sampler
-        immediately, since a missing entry can never produce a redundant
+        itself, since a missing entry can never produce a redundant
         prefetch).  ``seen`` guards the in-flight invariant: a line is
         never emitted twice from one walk, and a chain that loops back
         onto itself terminates the walk instead of re-issuing.
@@ -209,16 +208,11 @@ class TriangelPrefetcher(TriagePrefetcher):
                 self._note_controller_access(cursor)
             successor = store.lookup(cursor, stream_pc)
             if successor is None:
-                store.observe_access(cursor, stream_pc)
                 break
             if successor in seen:
                 break  # chain loop: never re-issue an in-flight line
             seen.add(successor)
-            candidates.append(
-                PrefetchCandidate(
-                    successor, context=(cursor, stream_pc), owner=self
-                )
-            )
+            candidates.append(PrefetchCandidate(successor, (cursor, stream_pc), self))
             cursor = successor
         return candidates
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from repro.memory.dram import DramModel
-from repro.memory.hierarchy import L1D_HIT, CacheHierarchy
+from repro.memory.hierarchy import L1D_HIT, L2_PF_L2, CacheHierarchy
 from repro.obs import ObsSession, RunObserver, get_session
 from repro.obs.manifest import build_manifest
 from repro.prefetchers.base import BasePrefetcher
@@ -116,10 +117,10 @@ def simulate_multicore(
     per_core_cycles = [0.0] * n_cores
     prev_counters = [(0, 0, 0)] * n_cores
     prev_bytes = 0
-    accesses_in_epoch = 0
     # As in the single-core engine: warmup epochs are never resolved or
     # sampled, so warmup rows stay out of the epoch time-series and
-    # ``dram.epoch_log`` holds only measured-window entries.
+    # ``dram.epoch_log`` holds only measured-window entries; the warmup
+    # runs as one segment, the measured window as one per epoch.
     in_warmup = warmup_accesses_per_core > 0
     traffic_offset: dict = {}
 
@@ -142,54 +143,46 @@ def simulate_multicore(
         )
         run.sample_epoch(**row)
 
-    def close_epoch() -> None:
-        nonlocal prev_counters, prev_bytes, accesses_in_epoch
-        if accesses_in_epoch == 0:
-            return
-        if in_warmup:
+    def close_epoch(accesses: int) -> None:
+        nonlocal prev_bytes
+        if not in_warmup:
+            loads = []
             for core in range(n_cores):
                 counters = hierarchy.counters[core]
-                prev_counters[core] = (
-                    counters.l2_hits,
-                    counters.llc_hits,
-                    counters.dram_accesses,
+                snap = prev_counters[core]
+                loads.append(
+                    EpochLoad(
+                        instructions=accesses * traces[core].instr_per_access,
+                        l2_hits=counters.l2_hits - snap[0],
+                        llc_hits=counters.llc_hits - snap[1],
+                        dram_accesses=counters.dram_accesses - snap[2],
+                        mlp=traces[core].mlp,
+                    )
                 )
-            prev_bytes = hierarchy.traffic.total_bytes
-            accesses_in_epoch = 0
-            return
-        loads = []
+            epoch_bytes = sum(hierarchy.traffic_bytes().values()) - prev_bytes
+            cycles = resolve_epoch(loads, epoch_bytes, config, dram)
+            for core in range(n_cores):
+                per_core_cycles[core] += cycles[core]
+            if run is not None:
+                sample_epoch(loads, epoch_bytes, cycles)
         for core in range(n_cores):
-            counters = hierarchy.counters[core]
-            snap = prev_counters[core]
-            loads.append(
-                EpochLoad(
-                    instructions=accesses_in_epoch * traces[core].instr_per_access,
-                    l2_hits=counters.l2_hits - snap[0],
-                    llc_hits=counters.llc_hits - snap[1],
-                    dram_accesses=counters.dram_accesses - snap[2],
-                    mlp=traces[core].mlp,
-                )
-            )
-        epoch_bytes = hierarchy.traffic.total_bytes - prev_bytes
-        cycles = resolve_epoch(loads, epoch_bytes, config, dram)
-        for core in range(n_cores):
-            per_core_cycles[core] += cycles[core]
             counters = hierarchy.counters[core]
             prev_counters[core] = (
                 counters.l2_hits,
                 counters.llc_hits,
                 counters.dram_accesses,
             )
-        if run is not None:
-            sample_epoch(loads, epoch_bytes, cycles)
-        prev_bytes = hierarchy.traffic.total_bytes
-        accesses_in_epoch = 0
+        prev_bytes = sum(hierarchy.traffic_bytes().values())
 
     steps = warmup_accesses_per_core + accesses_per_core
     fronts = [front_end(trace, config, steps) for trace in traces]
-    # Each core's accesses with their front-end results; a core that
-    # exhausts its trace restarts it.
-    streams = [
+    warmup = min(warmup_accesses_per_core, steps)
+    segments = [(0, warmup)] if warmup else []
+    epoch = max(epoch_accesses, 1)  # an epoch holds at least one step
+    segments += [(start, min(start + epoch, steps)) for start in range(warmup, steps, epoch)]
+    # Each step's accesses, one per core, with their front-end results;
+    # a core that exhausts its trace restarts it.
+    records = zip(*(
         zip(
             wrapped(trace.pcs, steps),
             wrapped(trace.addrs, steps),
@@ -198,14 +191,14 @@ def simulate_multicore(
             front.l1pf,
         )
         for trace, front in zip(traces, fronts)
-    ]
+    ))
     # Bound once: these run on every access.
     access = hierarchy.access
     prefetch = hierarchy.prefetch
     feedback = [pf is not None and pf.wants_feedback for pf in prefetchers]
     drains = [pf is not None and pf.offchip_metadata for pf in prefetchers]
-    for step in range(steps):
-        if step == warmup_accesses_per_core and warmup_accesses_per_core > 0:
+    for start, stop in segments:
+        if start == warmup_accesses_per_core > 0:
             # Warmup ends (paper: "we warm the cache ... and measure the
             # behavior of the next N instructions").
             for core in range(n_cores):
@@ -213,44 +206,38 @@ def simulate_multicore(
                 prev_counters[core] = (0, 0, 0)
                 per_core_cycles[core] = 0.0
                 per_core_metadata_bytes[core] = 0
-            prev_bytes = hierarchy.traffic.total_bytes
-            traffic_offset = hierarchy.traffic.snapshot()
-            accesses_in_epoch = 0
+            prev_bytes = sum(hierarchy.traffic_bytes().values())
+            traffic_offset = hierarchy.traffic_bytes()
             in_warmup = False
             if dram.epoch_log:
                 dram.epoch_log.clear()
             columns.mark()
-        for core in range(n_cores):
-            pc, addr, is_write, l1, l1pf_offsets = next(streams[core])
-            line = addr >> 6
-            if l1 == L1D_HIT:
-                hierarchy.l1_hit(core)
-                trains = False
-            else:
-                hit_level, prefetch_kind = access(core, pc, line, is_write, l1)
-                # Inlined hierarchy.trains_l2_prefetcher (a call per access).
-                trains = prefetch_kind is not None or hit_level != "l2"
-            if l1pf_offsets:
-                for offset in l1pf_offsets:
-                    prefetch(core, line + offset, pc, "l1")
-            pf = prefetchers[core]
-            if trains and pf is not None:
-                candidates = pf.observe(
-                    pc, line, prefetch_hit=prefetch_kind == "l2"
-                )
-                for candidate in candidates:
-                    source = prefetch(core, candidate.line, pc)
-                    if feedback[core]:
-                        (candidate.owner or pf).feedback(candidate, source)
-                if drains[core]:
-                    metadata_bytes = pf.drain_metadata_traffic()
-                    if metadata_bytes:
-                        hierarchy.traffic.add("metadata", metadata_bytes)
-                        per_core_metadata_bytes[core] += metadata_bytes
-        accesses_in_epoch += 1
-        if accesses_in_epoch >= epoch_accesses:
-            close_epoch()
-    close_epoch()
+        for step in islice(records, stop - start):
+            for core, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(step):
+                line = addr >> 6
+                # Inlined hierarchy.trains_l2_prefetcher: an L1D hit or
+                # a plain L2 hit (0) trains nothing.
+                outcome = 0 if l1 == L1D_HIT else access(core, pc, line, is_write, l1)
+                if l1pf_offsets:
+                    for offset in l1pf_offsets:
+                        prefetch(core, line + offset, pc, "l1")
+                if outcome:
+                    pf = prefetchers[core]
+                    if pf is None:
+                        continue
+                    candidates = pf.observe(pc, line, outcome == L2_PF_L2)
+                    for candidate in candidates:
+                        source = prefetch(core, candidate.line, pc)
+                        if feedback[core]:
+                            (candidate.owner or pf).feedback(candidate, source)
+                    if drains[core]:
+                        metadata_bytes = pf.drain_metadata_traffic()
+                        if metadata_bytes:
+                            hierarchy.traffic.add("metadata", metadata_bytes)
+                            per_core_metadata_bytes[core] += metadata_bytes
+        for core, front in enumerate(fronts):
+            hierarchy.count_demand(core, front.l1, start, stop)
+        close_epoch(stop - start)
 
     per_core_results = []
     for core in range(n_cores):
@@ -292,7 +279,7 @@ def simulate_multicore(
         )
     traffic = {
         category: total - traffic_offset.get(category, 0)
-        for category, total in hierarchy.traffic.snapshot().items()
+        for category, total in hierarchy.traffic_bytes().items()
     }
     manifest = build_manifest(
         kind="multi",

@@ -27,7 +27,13 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.memory.hierarchy import L1D_HIT, CacheHierarchy, trains_l2_prefetcher
+from repro.memory.hierarchy import (
+    L1D_HIT,
+    L2_PF_L2,
+    LLC_HIT,
+    CacheHierarchy,
+    trains_l2_prefetcher,
+)
 from repro.obs import ObsSession, RunObserver, get_session
 from repro.obs.manifest import build_manifest
 from repro.prefetchers.hybrid import HybridPrefetcher
@@ -157,7 +163,7 @@ def simulate_queued(
         if index == warmup_accesses and warmup_accesses > 0:
             hierarchy.counters[0] = type(counters)()
             counters = hierarchy.counters[0]
-            traffic_offset = hierarchy.traffic.snapshot()
+            traffic_offset = hierarchy.traffic_bytes()
             measured_start_cycle = now
             late_prefetch_hits = 0
             dropped_prefetches = 0
@@ -165,13 +171,10 @@ def simulate_queued(
         drain_completions()
 
         line = addr >> 6
-        if l1 == L1D_HIT:
-            hit_level, prefetch_kind = hierarchy.l1_hit(0)
-        else:
-            hit_level, prefetch_kind = hierarchy.access(0, pc, line, is_write, l1)
-        if hit_level == "l1":
+        outcome = L1D_HIT if l1 == L1D_HIT else hierarchy.access(0, pc, line, is_write, l1)
+        if outcome == L1D_HIT:
             pass
-        elif hit_level == "l2":
+        elif outcome <= L2_PF_L2:
             pending = ready_at.pop(line, None)
             if pending is not None and pending > now:
                 # Late prefetch: wait out the in-flight remainder.
@@ -180,7 +183,7 @@ def simulate_queued(
                 heapq.heappush(outstanding, pending)
             else:
                 now += config.l2_latency / trace.mlp
-        elif hit_level == "llc":
+        elif outcome == LLC_HIT:
             wait_for_window()
             heapq.heappush(outstanding, now + llc_latency)
         else:  # DRAM
@@ -195,8 +198,8 @@ def simulate_queued(
             elif source == "llc":
                 ready_at[target] = now + llc_latency
 
-        if pf is not None and trains_l2_prefetcher(hit_level, prefetch_kind):
-            candidates = pf.observe(pc, line, prefetch_hit=prefetch_kind == "l2")
+        if pf is not None and trains_l2_prefetcher(outcome):
+            candidates = pf.observe(pc, line, prefetch_hit=outcome == L2_PF_L2)
             for candidate in candidates:
                 # Bounded prefetch queue: drop when saturated.
                 if prefetch_queue_free - now > prefetch_queue_depth * 10.0:
@@ -227,11 +230,13 @@ def simulate_queued(
 
     while outstanding:
         now = max(now, heapq.heappop(outstanding))
+    measured_from = warmup_accesses if warmup_accesses < trace_length else 0
+    hierarchy.count_demand(0, front.l1, measured_from, trace_length)
 
     measured_accesses = len(trace) - min(warmup_accesses, len(trace))
     traffic = {
         category: total - traffic_offset.get(category, 0)
-        for category, total in hierarchy.traffic.snapshot().items()
+        for category, total in hierarchy.traffic_bytes().items()
     }
     metadata_llc = sum(t.store.llc_accesses for t in triages)
     metadata_dram = pf.metadata_dram_accesses if pf is not None else 0

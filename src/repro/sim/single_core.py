@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.triage import TriagePrefetcher
 from repro.memory.dram import DramModel
-from repro.memory.hierarchy import L1D_HIT, CacheHierarchy, CoreCounters
+from repro.memory.hierarchy import L1D_HIT, L2_PF_L2, CacheHierarchy, CoreCounters
 from repro.obs import ObsSession, RunObserver, get_session
 from repro.obs.manifest import build_manifest
 from repro.prefetchers.base import BasePrefetcher
@@ -244,12 +245,13 @@ def simulate(
     prev = (0, 0, 0)  # (l2_hits, llc_hits, dram_accesses)
     prev_bytes = 0
     prev_coverage = (0, 0)  # (l2_prefetch_hits, would-have-missed)
-    accesses_in_epoch = 0
     #: True until the warmup boundary passes.  Warmup epochs are not
     #: resolved or sampled at all: their rows would pollute the epoch
     #: time-series and leave warmup entries in ``dram.epoch_log`` (which
     #: ``_register_dram_metrics`` folds into the registry), and nothing
     #: downstream consumes warmup cycles -- the boundary resets them.
+    #: So the warmup runs as one segment, and the measured window as one
+    #: segment per epoch.
     in_warmup = warmup_accesses > 0
     # Warmup offsets, captured when measurement starts.
     traffic_offset: dict = {}
@@ -283,49 +285,44 @@ def simulate(
         )
         run.sample_epoch(**row)
 
-    def close_epoch() -> None:
-        nonlocal prev, prev_bytes, accesses_in_epoch, total_cycles
-        if accesses_in_epoch == 0:
-            return
-        if in_warmup:
-            # Roll the snapshots without resolving or sampling: warmup
-            # cycles are discarded at the boundary anyway.
-            prev = (counters.l2_hits, counters.llc_hits, counters.dram_accesses)
-            prev_bytes = hierarchy.traffic.total_bytes
-            accesses_in_epoch = 0
-            return
-        load = EpochLoad(
-            instructions=accesses_in_epoch * trace.instr_per_access,
-            l2_hits=counters.l2_hits - prev[0],
-            llc_hits=counters.llc_hits - prev[1],
-            dram_accesses=counters.dram_accesses - prev[2],
-            mlp=trace.mlp,
-        )
-        epoch_bytes = hierarchy.traffic.total_bytes - prev_bytes
-        cycles = resolve_epoch([load], epoch_bytes, config, dram)[0]
-        total_cycles += cycles
-        if run is not None:
-            sample_epoch(load, epoch_bytes, cycles)
+    def close_epoch(accesses: int) -> None:
+        nonlocal prev, prev_bytes, total_cycles
+        if not in_warmup:
+            load = EpochLoad(
+                instructions=accesses * trace.instr_per_access,
+                l2_hits=counters.l2_hits - prev[0],
+                llc_hits=counters.llc_hits - prev[1],
+                dram_accesses=counters.dram_accesses - prev[2],
+                mlp=trace.mlp,
+            )
+            epoch_bytes = sum(hierarchy.traffic_bytes().values()) - prev_bytes
+            cycles = resolve_epoch([load], epoch_bytes, config, dram)[0]
+            total_cycles += cycles
+            if run is not None:
+                sample_epoch(load, epoch_bytes, cycles)
         prev = (counters.l2_hits, counters.llc_hits, counters.dram_accesses)
-        prev_bytes = hierarchy.traffic.total_bytes
-        accesses_in_epoch = 0
+        prev_bytes = sum(hierarchy.traffic_bytes().values())
 
     front = front_end(trace, config)
+    n = len(trace)
+    warmup = min(warmup_accesses, n)
+    segments = [(0, warmup)] if warmup else []
+    epoch = max(epoch_accesses, 1)  # an epoch holds at least one access
+    segments += [(start, min(start + epoch, n)) for start in range(warmup, n, epoch)]
+    records = zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
     # Bound once: these run on every access.
     access = hierarchy.access
     prefetch = hierarchy.prefetch
     feedback = pf is not None and pf.wants_feedback
     drains = pf is not None and pf.offchip_metadata
     observe = pf.observe if pf is not None else None
-    for access_idx, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(
-        zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
-    ):
-        if access_idx == warmup_accesses and warmup_accesses > 0:
+    for start, stop in segments:
+        if start == warmup_accesses > 0:
             # Warmup ends: drop the statistics gathered so far (state in
             # the caches, prefetchers and partition controller persists).
             hierarchy.counters[0] = CoreCounters()
             counters = hierarchy.counters[0]
-            traffic_offset = hierarchy.traffic.snapshot()
+            traffic_offset = hierarchy.traffic_bytes()
             metadata_llc_offset = sum(t.store.llc_accesses for t in triages)
             if pf is not None:
                 metadata_dram_offset = pf.metadata_dram_accesses
@@ -333,9 +330,8 @@ def simulate(
                     metadata_dram_offset = pf.total_metadata_dram_accesses
             total_cycles = 0.0
             prev = (0, 0, 0)
-            prev_bytes = hierarchy.traffic.total_bytes
+            prev_bytes = sum(hierarchy.traffic_bytes().values())
             prev_coverage = (0, 0)
-            accesses_in_epoch = 0
             in_warmup = False
             # Observability state gathered during warmup is dropped so a
             # warmed run reports only measured-window epochs: any stray
@@ -344,32 +340,27 @@ def simulate(
             if dram.epoch_log:
                 dram.epoch_log.clear()
             columns.mark()
-        line = addr >> 6
-        accesses_in_epoch += 1
-        if l1 == L1D_HIT:
-            hierarchy.l1_hit(0)
-            trains = False
-        else:
-            hit_level, prefetch_kind = access(0, pc, line, is_write, l1)
-            # Inlined hierarchy.trains_l2_prefetcher (a call per access).
-            trains = prefetch_kind is not None or hit_level != "l2"
-        if l1pf_offsets:
-            # The stride prefetcher's prefetches for this access.
-            for offset in l1pf_offsets:
-                prefetch(0, line + offset, pc, "l1")
-        if trains and observe is not None:
-            candidates = observe(pc, line, prefetch_kind == "l2")
-            for candidate in candidates:
-                source = prefetch(0, candidate.line, pc)
-                if feedback:
-                    (candidate.owner or pf).feedback(candidate, source)
-            if drains:
-                metadata_bytes = pf.drain_metadata_traffic()
-                if metadata_bytes:
-                    hierarchy.traffic.add("metadata", metadata_bytes)
-        if accesses_in_epoch >= epoch_accesses:
-            close_epoch()
-    close_epoch()
+        for pc, addr, is_write, l1, l1pf_offsets in islice(records, stop - start):
+            line = addr >> 6
+            # Inlined hierarchy.trains_l2_prefetcher: an L1D hit or a
+            # plain L2 hit (0) trains nothing.
+            outcome = 0 if l1 == L1D_HIT else access(0, pc, line, is_write, l1)
+            if l1pf_offsets:
+                # The stride prefetcher's prefetches for this access.
+                for offset in l1pf_offsets:
+                    prefetch(0, line + offset, pc, "l1")
+            if outcome and observe is not None:
+                candidates = observe(pc, line, outcome == L2_PF_L2)
+                for candidate in candidates:
+                    source = prefetch(0, candidate.line, pc)
+                    if feedback:
+                        (candidate.owner or pf).feedback(candidate, source)
+                if drains:
+                    metadata_bytes = pf.drain_metadata_traffic()
+                    if metadata_bytes:
+                        hierarchy.traffic.add("metadata", metadata_bytes)
+        hierarchy.count_demand(0, front.l1, start, stop)
+        close_epoch(stop - start)
 
     metadata_llc = sum(t.store.llc_accesses for t in triages) - metadata_llc_offset
     metadata_dram = pf.metadata_dram_accesses if pf is not None else 0
@@ -389,7 +380,7 @@ def simulate(
     measured_accesses = len(trace) - min(warmup_accesses, len(trace))
     traffic = {
         category: total - traffic_offset.get(category, 0)
-        for category, total in hierarchy.traffic.snapshot().items()
+        for category, total in hierarchy.traffic_bytes().items()
     }
     manifest = build_manifest(
         kind="single",

@@ -49,6 +49,17 @@ def _arena_lines(
     return base + offsets
 
 
+def _link_sequential(lines: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """``lines`` with each link ``j >= 1`` where ``seq[j]`` holds
+    pointing to the line after link ``j - 1``'s (consecutively allocated
+    nodes).  Each line is then its run's first line plus its distance
+    from it, a run starting at 0 and at every link ``seq`` leaves alone.
+    """
+    index = np.arange(len(lines))
+    start = np.maximum.accumulate(np.where(seq, 0, index))
+    return lines[start] + (index - start)
+
+
 def chain_trace(
     name: str,
     n_accesses: int,
@@ -100,10 +111,7 @@ def chain_trace(
     def _make_chain(length: int, sub_arena: int) -> np.ndarray:
         lines = _arena_lines(rng, length, sub_arena)
         if sequential_frac > 0:
-            seq = rng.random(length) < sequential_frac
-            for j in range(1, length):
-                if seq[j]:
-                    lines[j] = lines[j - 1] + 1
+            lines = _link_sequential(lines, rng.random(length) < sequential_frac)
         return lines
 
     sub_arena = arena * 64

@@ -1,15 +1,19 @@
-"""The paired A/B tool's statistics, run order, record checks and arm set-up."""
+"""The paired A/B tool's statistics, run order, record checks and arm
+set-up, and its exact counts."""
 
+import ast
 import importlib.util
 import json
 import math
 import py_compile
 import random
+import shutil
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+REPO = Path(__file__).resolve().parent.parent
+_PATH = REPO / "tools" / "ab.py"
 _SPEC = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
@@ -155,3 +159,118 @@ def test_arms_share_one_bytecode_cache_state(tmp_path, capsys, monkeypatch):
     pairs = [tuple(pair) for pair in report["metrics"]["setup_s"]["pairs"]]
     assert pairs == [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0)]
     assert not any((tmp_path / "out").glob("pycache-*"))
+
+
+# -- exact counts -------------------------------------------------------------
+
+
+def test_counter_counts_calls_and_bytecodes():
+    def leaf():
+        x = 0  # LOAD_CONST, STORE_FAST
+        return x  # LOAD_FAST, RETURN_VALUE
+
+    counter = ab.WorkCounter()
+    with counter:
+        for _ in range(3):
+            leaf()
+        len("ab")
+    functions = counter.functions()
+    key = f"{leaf.__module__}:{leaf.__qualname__}"
+    assert functions[key] == {"bytecodes": 12, "calls": 3, "c_calls": 0}
+    # The C call (len) is charged to the frame making it, and the frame
+    # that was running when counting began is not traced.
+    layers = counter.layers(lambda module: "mine" if module == leaf.__module__ else None)
+    assert layers["mine"] == {"bytecodes": 12, "calls": 3, "c_calls": 1}
+
+
+#: A one-cell benchmark suite: a short Triage run, so a counted repeat
+#: takes a second.
+TINY_SUITE = """\
+from typing import Callable, NamedTuple, Tuple
+
+
+class Workload(NamedTuple):
+    run: Callable
+    why: str
+    imports: Tuple[str, ...]
+
+
+def tiny(run, seed):
+    from repro.experiments import common
+
+    run.cell(f"mcf|triage_1mb|600|{seed}", 600, common.run_single,
+             "mcf", "triage_1mb", n=600, seed=seed)
+
+
+WORKLOADS = {"tiny": Workload(tiny, "", ())}
+"""
+
+
+def counting_checkout(root: Path) -> Path:
+    """This repository's simulator and bench worker, with the tiny suite."""
+    shutil.copytree(REPO / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (root / "bench").mkdir()
+    for name in ("worker.py", "digest.py", "layers.py", "expected.json"):
+        shutil.copy(REPO / "bench" / name, root / "bench" / name)
+    (root / "bench" / "run.py").write_text("")
+    (root / "bench" / "suite.py").write_text(TINY_SUITE)
+    return root
+
+
+def plant_in_update(root: Path) -> None:
+    """Add ``planted = 0`` (two bytecodes) as ``MetadataStore.update``'s
+    first statement after its docstring."""
+    path = root / "src" / "repro" / "core" / "metadata_store.py"
+    source = path.read_text()
+    tree = ast.parse(source)
+    (store,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "MetadataStore"]
+    (update,) = [n for n in store.body if isinstance(n, ast.FunctionDef) and n.name == "update"]
+    first = update.body[1]
+    lines = source.splitlines(keepends=True)
+    lines.insert(first.lineno - 1, " " * first.col_offset + "planted = 0\n")
+    path.write_text("".join(lines))
+
+
+@pytest.fixture(scope="module")
+def checkouts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("counts")
+    base = counting_checkout(root / "base")
+    planted = counting_checkout(root / "planted")
+    plant_in_update(planted)
+    return base, planted
+
+
+def run_counts(tmp_path, capsys, base, new):
+    out = tmp_path / "out"
+    code = ab.main([str(base), str(new), "--workload", "tiny", "--counts", "--out", str(out)])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    records = {side: json.loads((out / f"counts-{side}.json").read_text())
+               for side in ("base", "new")}
+    return code, report, records
+
+
+def test_a_against_a_counts_are_exact(checkouts, tmp_path, capsys):
+    base, _ = checkouts
+    code, report, records = run_counts(tmp_path, capsys, base, base)
+    assert code == 0
+    assert records["base"]["failed"] == 0
+    assert report["counts"]["core.metadata_store"]["bytecodes"]["base"] > 0
+    ratios = {row["ratio"] for layer in report["counts"].values() for row in layer.values()}
+    assert ratios == {1.0}
+    gcs = report["gc_collections"]
+    assert gcs["base"] == gcs["new"]
+
+
+def test_planted_statement_moves_only_its_layer(checkouts, tmp_path, capsys):
+    base, planted = checkouts
+    code, report, records = run_counts(tmp_path, capsys, base, planted)
+    assert code == 0
+    calls = records["base"]["functions"]["repro.core.metadata_store:MetadataStore.update"]["calls"]
+    assert calls > 0
+    for layer, kinds in report["counts"].items():
+        for kind, row in kinds.items():
+            moved = row["new"] - row["base"]
+            if kind == "bytecodes" and layer in ("core.metadata_store", "total"):
+                assert moved == 2 * calls, layer
+            else:
+                assert moved == 0, (layer, kind)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.triage import TriageConfig, TriagePrefetcher
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 
 
@@ -38,5 +39,7 @@ def test_feedback_and_epoch_tick_default_noop():
 
 def test_energy_counters_default_zero():
     pf = BasePrefetcher()
-    assert pf.metadata_llc_accesses == 0
     assert pf.metadata_dram_accesses == 0
+    # On-chip metadata accesses are counted by Triage's store.
+    triage = TriagePrefetcher(TriageConfig(metadata_capacity=4096))
+    assert triage.store.llc_accesses == 0

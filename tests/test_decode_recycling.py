@@ -40,7 +40,7 @@ def test_tag_table_shared_across_entries():
     store = MetadataStore(capacity_bytes=1 << 16, tag_bits=10)
     store.update(1, line_with(99, 3))
     store.update(2, line_with(99, 7))
-    assert len(store.tag_table) == 1
+    assert len(store._tag_ids) == 1
     assert store.lookup(1) == line_with(99, 3)
     assert store.lookup(2) == line_with(99, 7)
 
@@ -50,6 +50,6 @@ def test_expired_tag_reference_returns_none_when_id_unassigned():
     store.update(10, line_with(1))
     # Manually strip the owner so expand() finds nothing (models a reset
     # tag table, e.g. after a partition flush).
-    store.tag_table._tag_to_id.clear()
-    store.tag_table._id_to_tag.clear()
+    store._tag_ids.clear()
+    store._id_tags.clear()
     assert store.lookup(10) is None

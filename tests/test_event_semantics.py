@@ -1,13 +1,19 @@
 """Semantics of the hierarchy's access outcome and the training-stream
 contract.
 
-``CacheHierarchy.access`` returns ``(hit_level, prefetch_hit_kind)``;
-``trains_l2_prefetcher`` is the membership test the engines apply to it.
+``CacheHierarchy.access`` returns an outcome code, and an L1D hit never
+reaches it; ``trains_l2_prefetcher`` is the test the engines apply to
+the code (or to ``L1D_HIT``).
 """
 
 from repro.memory.hierarchy import (
-    L1_HIT,
+    DRAM_FILL,
+    L1D_HIT,
     L1D_MISS,
+    L2_HIT,
+    L2_PF_L1,
+    L2_PF_L2,
+    LLC_HIT,
     CacheHierarchy,
     trains_l2_prefetcher,
 )
@@ -23,12 +29,12 @@ def _hierarchy():
 
 
 def test_event_training_stream_membership():
-    assert trains_l2_prefetcher("llc", None)
-    assert trains_l2_prefetcher("dram", None)
-    assert not trains_l2_prefetcher("l1", None)
-    assert not trains_l2_prefetcher("l2", None)
-    assert trains_l2_prefetcher("l2", "l2")
-    assert trains_l2_prefetcher("l2", "l1")
+    assert trains_l2_prefetcher(LLC_HIT)
+    assert trains_l2_prefetcher(DRAM_FILL)
+    assert not trains_l2_prefetcher(L1D_HIT)
+    assert not trains_l2_prefetcher(L2_HIT)
+    assert trains_l2_prefetcher(L2_PF_L2)
+    assert trains_l2_prefetcher(L2_PF_L1)
     # The same facts on outcomes the hierarchy actually returns.
     h, demand = _hierarchy()
     h.prefetch(0, line=0x3080 >> 6, kind="l2")
@@ -37,10 +43,10 @@ def test_event_training_stream_membership():
     l1 = demand(0, 1, 0x1000)
     l2_prefetch = demand(0, 1, 0x3080)
     l1_prefetch = demand(0, 1, 0x40C0)
-    assert dram == ("dram", None) and trains_l2_prefetcher(*dram)
-    assert l1 == L1_HIT and not trains_l2_prefetcher(*l1)
-    assert l2_prefetch == ("l2", "l2") and trains_l2_prefetcher(*l2_prefetch)
-    assert l1_prefetch == ("l2", "l1") and trains_l2_prefetcher(*l1_prefetch)
+    assert dram == DRAM_FILL and trains_l2_prefetcher(dram)
+    assert l1 == L1D_HIT and not trains_l2_prefetcher(l1)
+    assert l2_prefetch == L2_PF_L2 and trains_l2_prefetcher(l2_prefetch)
+    assert l1_prefetch == L2_PF_L1 and trains_l2_prefetcher(l1_prefetch)
 
 
 def test_event_l2_prefetch_hit_property():
@@ -49,13 +55,10 @@ def test_event_l2_prefetch_hit_property():
     h, demand = _hierarchy()
     h.prefetch(0, line=9, kind="l2")
     h.prefetch(0, line=10, kind="l1")
-    _, kind = demand(0, 1, 9 * 64)
-    assert kind == "l2"
-    _, kind = demand(0, 1, 10 * 64)
-    assert kind == "l1"
+    assert demand(0, 1, 9 * 64) == L2_PF_L2
+    assert demand(0, 1, 10 * 64) == L2_PF_L1
     # The next touch the L1D misses is a plain L2 hit.
-    level, kind = h.access(0, 1, 9, False, L1D_MISS)
-    assert level == "l2" and kind is None
+    assert h.access(0, 1, 9, False, L1D_MISS) == L2_HIT
 
 
 def test_training_stream_sequence_matches_paper_figure4():
@@ -68,12 +71,11 @@ def test_training_stream_sequence_matches_paper_figure4():
     h.prefetch(0, line=0x3080 >> 6, kind="l2")
     script.append(0x3080)
     for addr in script:
-        hit_level, prefetch_kind = demand(0, 1, addr)
-        if trains_l2_prefetcher(hit_level, prefetch_kind):
-            observed.append((addr >> 6, hit_level, prefetch_kind))
+        outcome = demand(0, 1, addr)
+        if trains_l2_prefetcher(outcome):
+            observed.append((addr >> 6, outcome))
     # Miss on 0x1000, miss on 0x2040, prefetch-hit on 0x3080; the L1 hit
     # on the second 0x1000 and the L1/L2 re-hit never train.
-    assert (0x1000 >> 6, "dram", None) in observed
-    assert (0x2040 >> 6, "dram", None) in observed
-    assert any(line == 0x3080 >> 6 and kind == "l2" for line, _, kind in observed)
-    assert len(observed) == 3
+    assert observed == [
+        (0x1000 >> 6, DRAM_FILL), (0x2040 >> 6, DRAM_FILL), (0x3080 >> 6, L2_PF_L2),
+    ]

@@ -99,7 +99,7 @@ def test_off_the_main_thread_it_records_nothing_and_says_so():
 
 def test_layer_of_follows_the_ordered_prefix_table():
     assert layer_of("repro.core.triage") == "core.triage"
-    assert layer_of("repro.core.compressed_tags") == "core.metadata_store"
+    assert layer_of("repro.core.metadata_store") == "core.metadata_store"
     assert layer_of("repro.sim.timing") == "sim.timing"
     assert layer_of("repro.sim.parallel") == "sim.parallel"
     assert layer_of("repro.sim.front_end") == "sim.driver"

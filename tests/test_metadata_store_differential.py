@@ -3,10 +3,11 @@
 The reference below is the metadata store as it stood before the store
 and its replacement policies dropped their per-set preallocation: fixed
 way arrays per set, one ``trigger -> way`` dict per set, a descending
-free-way stack per set, and policies holding one list per set.  Random
-``update`` / ``lookup`` / ``record_prefetch_outcome`` / ``resize``
-sequences on 1-4 set stores must give the same lookups, occupancy,
-eviction count and ``entries()`` order under every metadata policy.
+free-way stack per set, policies holding one list per set, and a
+separate compressed-tag table.  Random ``update`` / ``lookup`` /
+``observe_access`` / ``resize`` sequences on 1-4 set stores must give
+the same lookups, occupancy, eviction count, counters and ``entries()``
+order under every metadata policy.
 Small stores keep every set sampled by Hawkeye, so OPTgen training,
 friendly/averse insertion and victim detraining all take part.
 
@@ -22,7 +23,6 @@ from typing import Dict, List, Optional
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from repro.core.compressed_tags import CompressedTagTable
 from repro.core.metadata_store import MetadataStore
 from repro.replacement.hawkeye import HawkeyePredictor
 from repro.replacement.optgen import OptGen
@@ -32,6 +32,37 @@ ENTRIES_PER_LINE = 16
 SET_ID_BITS = 11
 MAX_RRPV = 7
 REUSE_CAP = 3
+
+
+# -- reference tag table --------------------------------------------------------
+
+
+class RefTags:
+    """Tag -> small id with LRU id recycling, as a class of its own."""
+
+    def __init__(self, bits):
+        self.capacity = 1 << bits
+        self._tag_to_id: Dict[int, int] = {}
+        self._id_to_tag: Dict[int, int] = {}
+        self._next_id = 0
+
+    def compress(self, tag):
+        compact = self._tag_to_id.pop(tag, None)
+        if compact is not None:
+            self._tag_to_id[tag] = compact
+            return compact
+        if len(self._tag_to_id) < self.capacity:
+            compact = self._next_id
+            self._next_id += 1
+        else:
+            compact = self._tag_to_id.pop(next(iter(self._tag_to_id)))
+            del self._id_to_tag[compact]
+        self._tag_to_id[tag] = compact
+        self._id_to_tag[compact] = tag
+        return compact
+
+    def expand(self, compact):
+        return self._id_to_tag.get(compact)
 
 
 # -- reference policies (one list per set) -------------------------------------
@@ -154,8 +185,8 @@ class RefStore:
     def __init__(self, capacity_bytes, policy, tag_bits):
         self.policy_name = policy
         self._predictor = HawkeyePredictor()
-        self.tag_table = CompressedTagTable(tag_bits)
-        self.lookups = self.lookup_hits = self.updates = 0
+        self.tag_table = RefTags(tag_bits)
+        self.lookups = self.lookup_hits = self.updates = self.llc_accesses = 0
         self.inserts = self.evictions = 0
         self.capacity_bytes = 0
         self.num_sets = 0
@@ -198,11 +229,13 @@ class RefStore:
 
     def lookup(self, trigger, pc=0):
         self.lookups += 1
+        self.llc_accesses += 1
         if self.num_sets == 0:
             return None
         set_idx = trigger & (self.num_sets - 1)
         way = self._index[set_idx].get(trigger)
         if way is None:
+            self.observe_access(trigger, pc)  # a miss trains the sampler
             return None
         entry = self._ways[set_idx][way]
         self.lookup_hits += 1
@@ -211,6 +244,7 @@ class RefStore:
 
     def update(self, trigger, next_line, pc=0):
         self.updates += 1
+        self.llc_accesses += 1
         set_id = next_line & ((1 << SET_ID_BITS) - 1)
         compact = self.tag_table.compress(next_line >> SET_ID_BITS)
         entry = self._find(trigger)
@@ -234,10 +268,6 @@ class RefStore:
     def observe_access(self, trigger, pc):
         if self._hawkeye is not None:
             self._hawkeye.observe(trigger & (self.num_sets - 1), trigger, pc)
-
-    def record_prefetch_outcome(self, trigger, pc, redundant):
-        if not redundant:
-            self.observe_access(trigger, pc)
 
     def occupancy(self):
         return sum(len(index) for index in self._index)
@@ -275,14 +305,14 @@ class RefStore:
 CAPACITIES = (0, 64, 128, 256)
 
 _ops = st.tuples(
-    st.sampled_from(["update"] * 5 + ["lookup", "lookup", "outcome", "resize"]),
+    st.sampled_from(["update"] * 5 + ["lookup", "lookup", "observe", "resize"]),
     # trigger = slot * 4 + set_pick: 18 triggers per set, most of them in
     # set 0, so short sequences already overflow a 16-entry set.
     st.integers(min_value=0, max_value=17),
     st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3]),
     st.integers(min_value=0, max_value=1 << 14),  # successor line
     st.integers(min_value=0, max_value=3),  # pc
-    st.booleans(),  # redundant (outcome) / capacity pick (resize)
+    st.booleans(),  # redundant (observe) / capacity pick (resize)
 )
 
 
@@ -311,9 +341,12 @@ def test_store_matches_per_set_reference(policy, capacity, tag_bits, ops):
             ref.update(trigger, next_line, pc)
         elif op == "lookup":
             assert store.lookup(trigger, pc) == ref.lookup(trigger, pc)
-        elif op == "outcome":
-            store.record_prefetch_outcome(trigger, pc, redundant=flag)
-            ref.record_prefetch_outcome(trigger, pc, redundant=flag)
+        elif op == "observe":
+            # As Triage feeds the sampler after a hit: only for a prefetch
+            # that was not redundant (``flag`` false).
+            if not flag:
+                store.observe_access(trigger, pc)
+                ref.observe_access(trigger, pc)
         else:
             new = CAPACITIES[(slot + flag) % len(CAPACITIES)]
             store.resize(new)
@@ -322,7 +355,7 @@ def test_store_matches_per_set_reference(policy, capacity, tag_bits, ops):
         assert store.occupancy() == ref.occupancy()
         assert store.evictions == ref.evictions
         assert _entry_view(store.entries()) == _entry_view(ref.entries())
-    assert (store.lookups, store.lookup_hits, store.updates, store.inserts) == (
-        ref.lookups, ref.lookup_hits, ref.updates, ref.inserts,
-    )
+    assert (
+        store.lookups, store.lookup_hits, store.updates, store.inserts, store.llc_accesses,
+    ) == (ref.lookups, ref.lookup_hits, ref.updates, ref.inserts, ref.llc_accesses)
     assert store.predictor._counters == ref._predictor._counters

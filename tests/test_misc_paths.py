@@ -52,7 +52,7 @@ def test_cache_accepts_policy_instance():
 def test_metadata_store_lru_observe_is_noop():
     store = MetadataStore(capacity_bytes=4096, policy="lru")
     store.observe_access(1, 2)  # no Hawkeye sampler: must not raise
-    store.record_prefetch_outcome(1, 2, redundant=False)
+    assert store.lookup(1, 2) is None  # nor may a miss, which feeds it
 
 
 def test_partition_decision_changed_flag():

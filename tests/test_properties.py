@@ -4,8 +4,7 @@ from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compressed_tags import CompressedTagTable
-from repro.core.metadata_store import ENTRIES_PER_LINE, MetadataStore
+from repro.core.metadata_store import ENTRIES_PER_LINE, SET_ID_BITS, MetadataStore
 from repro.core.training_unit import TrainingUnit
 from repro.memory.cache import Cache, LruCache
 from repro.memory.hierarchy import CacheHierarchy
@@ -125,12 +124,12 @@ def test_optgen_never_beats_full_reuse(stream):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200))
 def test_tag_table_recent_tags_roundtrip(tags):
-    table = CompressedTagTable(bits=6)
-    compact = None
-    for tag in tags:
-        compact = table.compress(tag)
-        assert table.expand(compact) == tag  # fresh compressions always hold
-    assert len(table) <= table.capacity
+    store = MetadataStore(capacity_bytes=None, tag_bits=6)
+    for trigger, tag in enumerate(tags):
+        successor = tag << SET_ID_BITS | 5
+        store.update(trigger, successor)
+        assert store.lookup(trigger) == successor  # fresh compressions always hold
+    assert len(store._tag_ids) <= 1 << 6
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,7 +181,7 @@ def test_hierarchy_conservation(accesses):
     c = h.counters[0]
     assert c.accesses == len(accesses)
     assert c.accesses == c.l1_hits + c.l2_hits + c.llc_hits + c.dram_accesses
-    for nbytes in h.traffic.bytes_by_category.values():
+    for nbytes in h.traffic_bytes().values():
         assert nbytes % 64 == 0
 
 

@@ -1,9 +1,12 @@
 """Unit tests for the workload generators."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads.base import Trace, interleave, pc_of
 from repro.workloads.irregular import (
+    _link_sequential,
     chain_trace,
     graph_walk_trace,
     shuffled_reuse_trace,
@@ -160,3 +163,18 @@ def test_write_draws_match_one_draw_per_access(n):
         for _ in range(min(n_lines, n - len(flags))):
             flags.append(bool(rng.random() < 0.15))
     assert shuffled_reuse_trace("w", n, seed=5, n_lines=n_lines).writes == flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1 << 40), st.booleans()), min_size=1, max_size=80))
+def test_sequential_links_match_the_link_by_link_loop(links):
+    """The array form equals linking one node at a time, the loop the
+    generator ran before (so traces stay byte-identical)."""
+    lines = np.array([line for line, _ in links], dtype=np.int64)
+    seq = np.array([flag for _, flag in links])
+    want = lines.copy()
+    for j in range(1, len(want)):
+        if seq[j]:
+            want[j] = want[j - 1] + 1
+    got = _link_sequential(lines, seq)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
