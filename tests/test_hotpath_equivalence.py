@@ -41,6 +41,14 @@ L2, into the LLC and to DRAM), and a two-core run whose warmup plus
 measured steps wrap each core's trace.  They were generated from the
 engine that still walked the L1D inside ``CacheHierarchy.access``.
 
+The ``REGULAR_CELLS`` and ``REGULAR_MIX_CELL`` pin the BO, SMS and
+stride paths the grid above leaves out: BO at degree 4 (a candidate
+list longer than one), SMS on the streaming ``libquantum`` trace (whose
+first touches of a region hit the pattern history table), and a
+two-core BO mix (the stride prefetcher's replay and the L2 prefetcher's
+calls on more than one core).  They were generated from the engine
+whose ``CacheHierarchy.prefetch`` still returned source strings.
+
 Regenerate (only when a change alters results *intentionally*) with::
 
     PYTHONPATH=src python tests/test_hotpath_equivalence.py --regen
@@ -136,6 +144,18 @@ WRAP_TRACE = 2_000
 WRAP_WARMUP = 1_500
 WRAP_MEASURED = 1_500
 
+#: Regular-path cells: key -> (benchmark, prefetcher, degree).
+REGULAR_CELLS = {
+    "bwaves/bo@degree4": ("bwaves", "bo", 4),
+    "libquantum/sms": ("libquantum", "sms", 1),
+}
+
+#: A two-core BO mix of two streaming benchmarks, half of each core's
+#: steps warmup.
+REGULAR_MIX_CELL = "mix:bwaves+libquantum/bo"
+REGULAR_MIX_NAMES = ("bwaves", "libquantum")
+REGULAR_MIX_ACCESSES = 6_000
+
 REL_TOL = 1e-12  # bit-identical up to float formatting in JSON
 
 
@@ -177,6 +197,27 @@ def front_end_cell_fingerprint(bench: str, pf: str, overrides: dict) -> dict:
             bench, pf, n=N_ACCESSES, machine=replace(common.MACHINE, **overrides)
         )
     )
+
+
+def regular_cell_fingerprint(bench: str, pf: str, degree: int) -> dict:
+    return result_fingerprint(
+        common.run_single(bench, pf, n=N_ACCESSES, degree=degree)
+    )
+
+
+def regular_mix_fingerprint() -> dict:
+    """The two-core BO mix: each core's fingerprint, total traffic."""
+    result = common.run_mix(
+        len(REGULAR_MIX_NAMES), 1, "bo",
+        n_per_core=REGULAR_MIX_ACCESSES, names=list(REGULAR_MIX_NAMES),
+    )
+    return {
+        "per_core": {
+            f"c{core}": result_fingerprint(core_result)
+            for core, core_result in enumerate(result.per_core)
+        },
+        "traffic": dict(result.traffic),
+    }
 
 
 def wrap_traces() -> list:
@@ -226,6 +267,9 @@ def compute_grid() -> dict:
         for key, cell in FRONT_END_CELLS.items():
             grid[key] = front_end_cell_fingerprint(*cell)
         grid[WRAP_CELL] = wrap_cell_fingerprint()
+        for key, cell in REGULAR_CELLS.items():
+            grid[key] = regular_cell_fingerprint(*cell)
+        grid[REGULAR_MIX_CELL] = regular_mix_fingerprint()
         return grid
     finally:
         common.clear_caches()
@@ -360,6 +404,44 @@ def test_wrap_cell_wraps_every_trace():
     assert set(cell["per_core"]) == {f"c{core}" for core in range(len(WRAP_NAMES))}
     for core in cell["per_core"].values():
         assert core["counters"]["accesses"] == WRAP_MEASURED
+
+
+def test_regular_cells_reach_their_paths(monkeypatch):
+    """BO at degree 4 issues up to four prefetches per trained access,
+    SMS on ``libquantum`` hits its pattern history table, both mix cores
+    replay stride prefetches and issue BO's, and no regular cell equals
+    another cell of the golden."""
+    cells = json.loads(GOLDEN_PATH.read_text())["cells"]
+    deep = cells["bwaves/bo@degree4"]["counters"]
+    # The L2 miss + prefetch-hit stream BO trains on.
+    trained = sum(
+        deep[field]
+        for field in ("l2_prefetch_hits", "l1pf_useful", "llc_hits", "dram_accesses")
+    )
+    assert deep["prefetches_issued"] + deep["prefetches_redundant"] > 2 * trained
+    for core in cells[REGULAR_MIX_CELL]["per_core"].values():
+        assert core["counters"]["l1pf_issued"] > 0
+        assert core["counters"]["prefetches_issued"] > 0
+    for key in (*REGULAR_CELLS, REGULAR_MIX_CELL):
+        assert all(cells[key] != cells[other] for other in cells if other != key), key
+
+    from repro.prefetchers.sms import SmsPrefetcher
+
+    hits = Counter()
+    original = SmsPrefetcher.observe
+
+    def observe(self, pc, line, prefetch_hit=False):
+        candidates = original(self, pc, line, prefetch_hit)
+        hits["pht"] += bool(candidates)
+        return candidates
+
+    monkeypatch.setattr(SmsPrefetcher, "observe", observe)
+    common.clear_caches()
+    try:
+        regular_cell_fingerprint(*REGULAR_CELLS["libquantum/sms"])
+    finally:
+        common.clear_caches()
+    assert hits["pht"] > 0
 
 
 def regenerate() -> None:
