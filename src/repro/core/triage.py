@@ -194,11 +194,11 @@ class TriagePrefetcher(BasePrefetcher):
             self._apply_pending_partition()
         return candidates
 
-    def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
+    def feedback(self, candidate: PrefetchCandidate, source: int) -> None:
         # Only a non-redundant prefetch trains the store's sampler: a
-        # redundant one was already cached, so its metadata access earned
-        # nothing (paper Section 3).
-        if source != "redundant":
+        # redundant one (L2_HIT, 0) was already cached, so its metadata
+        # access earned nothing (paper Section 3).
+        if source:
             self.store.observe_access(*candidate.context)
 
     @property

@@ -105,6 +105,8 @@ PF_L1 = 2
 PF_L2 = 4
 PF_MASK = PF_L1 | PF_L2
 WAY_SHIFT = 3
+#: The way bits of a packed state.
+WAY_BITS = -1 << WAY_SHIFT
 #: Packed prefetch bits -> prefetcher kind.
 PF_KIND = (None, "l1", "l2")
 #: Prefetcher kind -> packed prefetch bits.
@@ -217,7 +219,7 @@ class LruCache(_Geometry):
         for victim in lines:
             break
         state = lines.pop(victim)
-        lines[line] = state >> WAY_SHIFT << WAY_SHIFT
+        lines[line] = state & WAY_BITS
         return state & DIRTY == DIRTY
 
     def invalidate(self, line: int) -> Optional[Evicted]:

@@ -19,7 +19,7 @@ together with the dirty victim that miss evicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.memory.address import LINE_SIZE
 from repro.memory.cache import DIRTY, PF_L1, PF_L2, Cache, LruCache, _Geometry
@@ -30,6 +30,9 @@ from repro.replacement.base import ReplacementPolicy
 #: L2 hit; the first demand touch of an L2 line the L1 stride prefetcher
 #: or the L2 prefetcher brought in; an LLC hit; a DRAM fill.  The two
 #: first-touch codes are the line's packed prefetch bits shifted down.
+#: :meth:`CacheHierarchy.prefetch` returns the level that held the line
+#: in the same codes: :data:`L2_HIT` (redundant), :data:`LLC_HIT` or
+#: :data:`DRAM_FILL`.
 L2_HIT = 0
 L2_PF_L1 = PF_L1 >> 1
 L2_PF_L2 = PF_L2 >> 1
@@ -120,7 +123,9 @@ class CoreCounters:
     ``l2_prefetch_hits``/``prefetches_*`` cover the L2 prefetcher under
     evaluation; the baseline L1 stride prefetcher (Table 1) is tracked
     separately in the ``l1pf_*`` fields so it never pollutes coverage or
-    accuracy numbers.
+    accuracy numbers.  ``accesses``, ``l1_hits``, ``l2_hits`` and
+    ``prefetches_issued`` are counted when a segment closes
+    (:meth:`CacheHierarchy.close_segment`).
     """
 
     accesses: int = 0
@@ -149,7 +154,8 @@ class CacheHierarchy:
 
     The L1D itself runs ahead as an :class:`L1D`; :meth:`access`
     takes the accesses that missed it.  The engines count each core's
-    ``accesses`` and ``l1_hits`` from the L1D's codes.  The L2 is an
+    ``accesses`` and ``l1_hits`` from the L1D's codes when they close
+    a segment (:meth:`close_segment`).  The L2 is an
     :class:`L2`, whose sets the demand and prefetch paths work on
     directly.  The LLC is an :class:`LruCache` under ``llc_policy="lru"``
     and a policy-driven :class:`Cache` otherwise; it is only reached
@@ -198,14 +204,25 @@ class CacheHierarchy:
 
     # -- demand path ---------------------------------------------------------
 
-    def count_demand(self, core: int, l1_codes: List[int], start: int, stop: int) -> None:
-        """Count ``core``'s demand accesses ``start:stop``, given every
-        access's :class:`L1D` code: each is an access, each
-        :data:`L1D_HIT` an L1 hit (:meth:`access` counts the misses by
-        the level that served them)."""
+    def close_segment(self, core: int, l1_codes: List[int], start: int, stop: int) -> None:
+        """Close a window of ``core``'s run, once its accesses
+        ``start:stop`` have been issued.  Given every access's
+        :class:`L1D` code, count them: each is an access and each
+        :data:`L1D_HIT` an L1 hit.  Then derive the counts the hot paths
+        leave out: ``l2_hits`` (:meth:`access` counts the other L1D
+        misses by the level that served them) and ``prefetches_issued``
+        (every prefetch that was not redundant filled from the LLC or
+        from DRAM)."""
         counters = self.counters[core]
         counters.accesses += stop - start
         counters.l1_hits += l1_codes[start:stop].count(L1D_HIT)
+        counters.l2_hits = (
+            counters.accesses - counters.l1_hits
+            - counters.llc_hits - counters.dram_accesses
+        )
+        counters.prefetches_issued = (
+            counters.prefetch_fills_from_llc + counters.prefetch_fills_from_dram
+        )
 
     def access(self, core: int, pc: int, line: int, is_write: bool, l1: int) -> int:
         """Issue one demand access that missed ``core``'s L1D.
@@ -223,13 +240,13 @@ class CacheHierarchy:
         state = lines.pop(line, None)
         if state is not None:
             # A touch clears the prefetch bits; ``is_write`` is 0 or 1.
+            # An L2 state holds no way bits and at most one prefetch bit.
             lines[line] = state & DIRTY | is_write
-            outcome = state >> 1 & 3
+            outcome = state >> 1
             if outcome == L2_PF_L2:
                 counters.l2_prefetch_hits += 1
             elif outcome:
                 counters.l1pf_useful += 1
-            counters.l2_hits += 1
         else:
             llc = self.llc
             dirty_victim = llc.fetch(line, pc)
@@ -262,52 +279,82 @@ class CacheHierarchy:
 
     # -- prefetch path ---------------------------------------------------------
 
-    def prefetch(self, core: int, line: int, pc: int = 0, kind: str = "l2") -> str:
-        """Insert a prefetch for ``line`` into ``core``'s L2.
-
-        ``kind`` labels which prefetcher issued it ("l2" for the
-        prefetcher under evaluation, "l1" for the baseline stride
-        prefetcher).  Returns where the data came from: ``"redundant"``
-        (already in L2, dropped), ``"llc"`` (on-chip move, no DRAM
-        traffic) or ``"dram"`` (off-chip fetch, counted as prefetch
-        traffic).
+    def prefetch(self, core: int, line: int, pc: int = 0) -> int:
+        """Insert the L2 prefetcher's prefetch for ``line`` into
+        ``core``'s L2 and return the level that held the line:
+        :data:`L2_HIT` (already in the L2: redundant, dropped),
+        :data:`LLC_HIT` (an on-chip move, no DRAM traffic) or
+        :data:`DRAM_FILL` (an off-chip fetch, counted as prefetch
+        traffic).  ``prefetches_issued`` follows from the fill counters
+        when the segment closes (:meth:`close_segment`).
         """
-        counters = self.counters[core]
         l2 = self.l2s[core]
         lines = l2.sets[line & l2.set_mask]
-        l2_prefetch = kind == "l2"
         if line in lines:
-            if l2_prefetch:
-                counters.prefetches_redundant += 1
-            else:
-                counters.l1pf_redundant += 1
-            return "redundant"
-        if l2_prefetch:
-            counters.prefetches_issued += 1
-        else:
-            counters.l1pf_issued += 1
+            self.counters[core].prefetches_redundant += 1
+            return L2_HIT
         llc = self.llc
         dirty_victim = llc.fetch(line, pc, False)
         if dirty_victim is None:
-            if l2_prefetch:
-                counters.prefetch_fills_from_llc += 1
-            source = "llc"
+            self.counters[core].prefetch_fills_from_llc += 1
+            source = LLC_HIT
         else:
-            if l2_prefetch:
-                counters.prefetch_fills_from_dram += 1
-            else:
-                counters.l1pf_fills_from_dram += 1
+            self.counters[core].prefetch_fills_from_dram += 1
             if dirty_victim:
                 self._bytes["writeback"] += LINE_SIZE
-            source = "dram"
+            source = DRAM_FILL
         # Fill the L2 (``line`` just missed it).
         if len(lines) == l2.ways:
             for victim in lines:
                 break
             if lines.pop(victim) & DIRTY and not llc.mark_dirty(victim):
                 self._bytes["writeback"] += LINE_SIZE
-        lines[line] = PF_L2 if l2_prefetch else PF_L1
+        lines[line] = PF_L2
         return source
+
+    def prefetch_l1(
+        self,
+        core: int,
+        line: int,
+        pc: int,
+        offsets: Tuple[int, ...],
+        fills: Optional[List[Tuple[int, int]]] = None,
+    ) -> None:
+        """Insert the L1 stride prefetcher's prefetches for one access to
+        ``line`` (its :class:`~repro.sim.front_end.FrontEnd` offsets)
+        into ``core``'s L2, in order.
+
+        Each target already in the L2 is redundant and dropped; each
+        other one moves in from the LLC or DRAM as in :meth:`prefetch`,
+        counted in the ``l1pf_*`` fields.  ``fills``, when given, gets
+        ``(target, LLC_HIT or DRAM_FILL)`` for each target that filled.
+        """
+        l2 = self.l2s[core]
+        counters = self.counters[core]
+        for offset in offsets:
+            target = line + offset
+            lines = l2.sets[target & l2.set_mask]
+            if target in lines:
+                counters.l1pf_redundant += 1
+                continue
+            counters.l1pf_issued += 1
+            llc = self.llc
+            dirty_victim = llc.fetch(target, pc, False)
+            if dirty_victim is None:
+                source = LLC_HIT
+            else:
+                counters.l1pf_fills_from_dram += 1
+                if dirty_victim:
+                    self._bytes["writeback"] += LINE_SIZE
+                source = DRAM_FILL
+            if len(lines) == l2.ways:
+                for victim in lines:
+                    break
+                if lines.pop(victim) & DIRTY and not llc.mark_dirty(victim):
+                    self._bytes["writeback"] += LINE_SIZE
+            lines[target] = PF_L1
+            if fills is not None:
+                fills.append((target, source))
 
     # -- LLC way partitioning -----------------------------------------------
 

@@ -58,11 +58,12 @@ class BasePrefetcher:
         """
         raise NotImplementedError
 
-    def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
+    def feedback(self, candidate: PrefetchCandidate, source: int) -> None:
         """Learn where an issued candidate was satisfied.
 
-        ``source`` is ``"redundant"`` (already in L2), ``"llc"`` or
-        ``"dram"`` -- the return value of ``CacheHierarchy.prefetch``.
+        ``source`` is the return value of ``CacheHierarchy.prefetch``:
+        ``L2_HIT`` (0: already in the L2, redundant), ``LLC_HIT`` or
+        ``DRAM_FILL`` (:mod:`repro.memory.hierarchy`).
         """
 
     @property

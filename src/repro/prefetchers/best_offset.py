@@ -43,6 +43,7 @@ class BestOffsetPrefetcher(BasePrefetcher):
         super().__init__(degree)
         self.offsets = list(offsets) if offsets is not None else list(DEFAULT_OFFSETS)
         self.rr_size = 1 << rr_table_bits
+        self._rr_mask = self.rr_size - 1
         self._rr_table = [-1] * self.rr_size
         self._scores = [0] * len(self.offsets)
         self._test_index = 0
@@ -60,20 +61,24 @@ class BestOffsetPrefetcher(BasePrefetcher):
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
         rr_table = self._rr_table
-        rr_mask = self.rr_size - 1
+        rr_mask = self._rr_mask
+        offsets = self.offsets
         # Learning: test one offset per event, round-robin.
         index = self._test_index
-        base = line - self.offsets[index]
+        base = line - offsets[index]
         if rr_table[(base ^ (base >> 8)) & rr_mask] == base:
-            self._scores[index] += 1
-            if self._scores[index] >= self.SCORE_MAX:
+            scores = self._scores
+            scores[index] += 1
+            if scores[index] >= self.SCORE_MAX:
                 self._end_round()
-        self._test_index += 1
-        if self._test_index >= len(self.offsets):
-            self._test_index = 0
+                index = 0
+        index += 1
+        if index >= len(offsets):
+            index = 0
             self._round += 1
             if self._round >= self.ROUND_MAX:
                 self._end_round()
+        self._test_index = index
 
         # The line just requested becomes a "recent request" that future
         # offset tests can match against.  (Michaud inserts line - D on
@@ -84,10 +89,12 @@ class BestOffsetPrefetcher(BasePrefetcher):
         if not self.prefetching_on:
             return []
         step = self.best_offset
-        return [
-            PrefetchCandidate(line + step * i, None, self)
-            for i in range(1, self.degree + 1)
-        ]
+        if self.degree == 1:
+            return [PrefetchCandidate(line + step, None, self)]
+        candidates = []
+        for i in range(1, self.degree + 1):
+            candidates.append(PrefetchCandidate(line + step * i, None, self))
+        return candidates
 
     def _end_round(self) -> None:
         best_idx = max(range(len(self.offsets)), key=lambda i: self._scores[i])

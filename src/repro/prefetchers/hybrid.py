@@ -41,7 +41,7 @@ class HybridPrefetcher(BasePrefetcher):
                 merged.append(candidate)
         return merged
 
-    def feedback(self, candidate: PrefetchCandidate, source: str) -> None:
+    def feedback(self, candidate: PrefetchCandidate, source: int) -> None:
         owner = candidate.owner
         if owner is not None and owner is not self:
             owner.feedback(candidate, source)

@@ -17,15 +17,26 @@ the irregular suite (paper Figures 5/6).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from repro.memory.address import LINE_SHIFT
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 
 
+@lru_cache(maxsize=4096)
+def relative_offsets(relative: int, region_lines: int) -> Tuple[int, ...]:
+    """The set bits of a trigger-relative footprint, ascending."""
+    return tuple([rel for rel in range(1, region_lines) if relative >> rel & 1])
+
+
 class SmsPrefetcher(BasePrefetcher):
-    """SMS with a 2 KB region (32 lines) and LRU-managed tables."""
+    """SMS with a 2 KB region (32 lines) and LRU-managed tables.
+
+    Each table is a dict in recency order, least recent first.  A
+    signature is the ``(pc, offset)`` of the access that first touched a
+    region.
+    """
 
     name = "sms"
 
@@ -45,105 +56,89 @@ class SmsPrefetcher(BasePrefetcher):
         self.filter_entries = filter_entries
         self.accumulation_entries = accumulation_entries
         self.pht_entries = pht_entries
-        # region -> (trigger_pc, trigger_offset)
-        self._filter: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
-        # region -> (trigger signature, trigger offset, footprint bitmask)
-        self._accumulation: "OrderedDict[int, Tuple[Tuple[int, int], int, int]]" = (
-            OrderedDict()
-        )
-        # signature -> footprint bitmask *rotated relative to the trigger
-        # offset* (the SMS paper anchors patterns at the trigger access so
-        # they generalize across regions).
-        self._pht: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
+        # region -> signature
+        self._filter: Dict[int, Tuple[int, int]] = {}
+        # region -> [signature, footprint bitmask]
+        self._accumulation: Dict[int, list] = {}
+        # signature -> the footprint's line offsets *relative to the
+        # trigger offset*, ascending, the trigger's own line left out (the
+        # SMS paper anchors patterns at the trigger access so they
+        # generalize across regions).
+        self._pht: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
-        region, offset = divmod(line, self.region_lines)
+        region_lines = self.region_lines
+        region, offset = divmod(line, region_lines)
 
-        acc = self._accumulation.get(region)
+        accumulation = self._accumulation
+        acc = accumulation.pop(region, None)
         if acc is not None:
-            signature, trigger_offset, footprint = acc
-            self._accumulation[region] = (
-                signature,
-                trigger_offset,
-                footprint | (1 << offset),
-            )
-            self._accumulation.move_to_end(region)
+            acc[1] |= 1 << offset
+            accumulation[region] = acc
             return []
 
-        filt = self._filter.get(region)
-        if filt is not None:
+        filter_table = self._filter
+        signature = filter_table.pop(region, None)
+        if signature is not None:
             # Second access to the region: promote to accumulation.
-            del self._filter[region]
-            trigger_pc, trigger_offset = filt
-            signature = (trigger_pc, trigger_offset)
-            footprint = (1 << trigger_offset) | (1 << offset)
-            self._accumulate(region, signature, trigger_offset, footprint)
+            self._accumulate(region, signature, 1 << signature[1] | 1 << offset)
             return []
 
         # First access to the region: record in the filter table and, if
         # the signature has history, prefetch the learned footprint
         # re-anchored at this trigger offset.
-        self._filter_insert(region, (pc, offset))
-        signature = (pc, offset)
-        relative = self._pht.get(signature)
+        if len(filter_table) >= self.filter_entries:
+            del filter_table[next(iter(filter_table))]
+        signature = filter_table[region] = (pc, offset)
+        pht = self._pht
+        relative = pht.pop(signature, None)
         if relative is None:
             return []
-        self._pht.move_to_end(signature)
+        pht[signature] = relative
+        return self._replay(relative, line - offset, offset)
+
+    def _replay(
+        self, relative: Tuple[int, ...], region_base: int, offset: int
+    ) -> List[PrefetchCandidate]:
+        """A PHT pattern's candidates for a trigger at ``offset`` in the
+        region starting at line ``region_base``, in ascending relative
+        offset."""
         region_lines = self.region_lines
-        region_base = region * region_lines
         return [
             PrefetchCandidate(region_base + (offset + rel) % region_lines, None, self)
-            for rel in range(1, region_lines)
-            if relative >> rel & 1
+            for rel in relative
         ]
 
     # -- table maintenance ---------------------------------------------------
 
-    def _filter_insert(self, region: int, value: Tuple[int, int]) -> None:
-        if len(self._filter) >= self.filter_entries:
-            self._filter.popitem(last=False)
-        self._filter[region] = value
-
     def _accumulate(
-        self,
-        region: int,
-        signature: Tuple[int, int],
-        trigger_offset: int,
-        footprint: int,
+        self, region: int, signature: Tuple[int, int], footprint: int
     ) -> None:
-        if len(self._accumulation) >= self.accumulation_entries:
-            __, (old_sig, old_trigger, old_fp) = self._accumulation.popitem(
-                last=False
-            )
-            self._pht_store(old_sig, old_trigger, old_fp)
-        self._accumulation[region] = (signature, trigger_offset, footprint)
+        accumulation = self._accumulation
+        if len(accumulation) >= self.accumulation_entries:
+            self._pht_store(*accumulation.pop(next(iter(accumulation))))
+        accumulation[region] = [signature, footprint]
 
-    def _pht_store(
-        self, signature: Tuple[int, int], trigger_offset: int, footprint: int
-    ) -> None:
-        relative = self._rotate(footprint, trigger_offset)
+    def _pht_store(self, signature: Tuple[int, int], footprint: int) -> None:
+        relative = self._rotate(footprint, signature[1])
         if relative == 0:
             return  # nothing beyond the trigger line: no pattern to keep
-        if len(self._pht) >= self.pht_entries:
-            self._pht.popitem(last=False)
-        self._pht[signature] = relative
+        pht = self._pht
+        if len(pht) >= self.pht_entries:
+            del pht[next(iter(pht))]
+        pht[signature] = relative_offsets(relative, self.region_lines)
 
     def _rotate(self, footprint: int, trigger_offset: int) -> int:
-        """Footprint re-expressed relative to the trigger (bit 0 dropped)."""
-        relative = 0
-        for bit in range(self.region_lines):
-            if footprint & (1 << bit):
-                rel = (bit - trigger_offset) % self.region_lines
-                if rel != 0:
-                    relative |= 1 << rel
-        return relative
+        """Footprint re-expressed relative to the trigger (bit 0 dropped):
+        rotated right by ``trigger_offset`` within the region."""
+        region_lines = self.region_lines
+        rotated = footprint >> trigger_offset | footprint << region_lines - trigger_offset
+        return rotated & (1 << region_lines) - 2
 
     def flush_training(self) -> None:
         """Commit every in-flight footprint to the PHT (end-of-trace aid)."""
-        while self._accumulation:
-            __, (signature, trigger_offset, footprint) = self._accumulation.popitem(
-                last=False
-            )
-            self._pht_store(signature, trigger_offset, footprint)
+        for signature, footprint in self._accumulation.values():
+            self._pht_store(signature, footprint)
+        self._accumulation.clear()

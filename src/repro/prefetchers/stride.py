@@ -12,18 +12,9 @@ prefetches under every configuration.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
-
-
-@dataclass(slots=True)
-class _StrideEntry:
-    last_line: int
-    stride: int = 0
-    confidence: int = 0
 
 
 class StridePrefetcher(BasePrefetcher):
@@ -36,38 +27,56 @@ class StridePrefetcher(BasePrefetcher):
     def __init__(self, degree: int = 1, table_size: int = 256):
         super().__init__(degree)
         self.table_size = table_size
-        self._table: "OrderedDict[int, _StrideEntry]" = OrderedDict()
+        #: pc -> ``(last line, stride, confidence)``, least recent first.
+        self._table: Dict[int, Tuple[int, int, int]] = {}
+        #: stride -> its prefetch offsets ``(stride, 2 * stride, ...)``.
+        self._runs: Dict[int, Tuple[int, ...]] = {}
 
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
     ) -> List[PrefetchCandidate]:
-        entry = self._table.get(pc)
-        if entry is None:
-            self._insert(pc, _StrideEntry(last_line=line))
-            return []
-        self._table.move_to_end(pc)
-        stride = line - entry.last_line
-        if stride == 0:
-            return []
-        if stride == entry.stride:
-            if entry.confidence < self.CONFIDENCE_MAX:
-                entry.confidence += 1
-        else:
-            entry.confidence -= 1
-            if entry.confidence <= 0:
-                entry.stride = stride
-                entry.confidence = 1
-        entry.last_line = line
-        step = entry.stride
-        if entry.confidence < self.CONFIDENCE_THRESHOLD or step == 0:
-            return []
         return [
-            PrefetchCandidate(target, None, self)
-            for i in range(1, self.degree + 1)
-            if (target := line + step * i) > 0
+            PrefetchCandidate(line + offset, None, self)
+            for offset in self.offsets(pc, line)
         ]
 
-    def _insert(self, pc: int, entry: _StrideEntry) -> None:
-        if len(self._table) >= self.table_size:
-            self._table.popitem(last=False)
-        self._table[pc] = entry
+    def offsets(self, pc: int, line: int) -> Tuple[int, ...]:
+        """Train on a demand access to ``line`` by ``pc``; return the
+        offsets from ``line`` of the lines to prefetch, ``()`` for none.
+
+        Calls for one stride share one tuple, unless a negative stride
+        runs a target below line 1 (such targets are dropped).
+        """
+        table = self._table
+        entry = table.pop(pc, None)
+        if entry is None:
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[pc] = (line, 0, 0)
+            return ()
+        last_line, stride, confidence = entry
+        seen = line - last_line
+        if seen == 0:
+            table[pc] = entry
+            return ()
+        if seen == stride:
+            if confidence < self.CONFIDENCE_MAX:
+                confidence += 1
+        else:
+            confidence -= 1
+            if confidence <= 0:
+                stride = seen
+                confidence = 1
+        table[pc] = (line, stride, confidence)
+        # A stride is only ever replaced by a nonzero one, and starts at
+        # zero with no confidence: a confident stride is nonzero.
+        if confidence < self.CONFIDENCE_THRESHOLD:
+            return ()
+        run = self._runs.get(stride)
+        if run is None:
+            run = self._runs[stride] = tuple(
+                stride * i for i in range(1, self.degree + 1)
+            )
+        if line + run[-1] <= 0:
+            run = tuple([offset for offset in run if line + offset > 0])
+        return run

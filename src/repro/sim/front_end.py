@@ -38,7 +38,7 @@ class FrontEnd(NamedTuple):
     l1: List[int]
     #: Per access, the offsets from the accessed line of the lines the
     #: stride prefetcher asks for (``()`` for none, and always without
-    #: an L1 prefetcher).  Equal tuples are one object.
+    #: an L1 prefetcher), as :meth:`StridePrefetcher.offsets` gave them.
     l1pf: List[Tuple[int, ...]]
 
 
@@ -75,15 +75,7 @@ def _build(trace: Trace, config: MachineConfig, length: int) -> FrontEnd:
     stride = make_l1_prefetcher(config)
     if stride is None:
         return FrontEnd(l1, [()] * length)
-    observe = stride.observe
-    shared = {}
-    l1pf = []
-    append = l1pf.append
-    for pc, line in zip(wrapped(trace.pcs, length), lines):
-        candidates = observe(pc, line)
-        if candidates:
-            offsets = tuple([candidate.line - line for candidate in candidates])
-            append(shared.setdefault(offsets, offsets))
-        else:
-            append(())
-    return FrontEnd(l1, l1pf)
+    offsets = stride.offsets
+    return FrontEnd(
+        l1, [offsets(pc, line) for pc, line in zip(wrapped(trace.pcs, length), lines)]
+    )

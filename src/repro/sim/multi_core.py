@@ -195,6 +195,7 @@ def simulate_multicore(
     # Bound once: these run on every access.
     access = hierarchy.access
     prefetch = hierarchy.prefetch
+    prefetch_l1 = hierarchy.prefetch_l1
     feedback = [pf is not None and pf.wants_feedback for pf in prefetchers]
     drains = [pf is not None and pf.offchip_metadata for pf in prefetchers]
     for start, stop in segments:
@@ -219,8 +220,7 @@ def simulate_multicore(
                 # a plain L2 hit (0) trains nothing.
                 outcome = 0 if l1 == L1D_HIT else access(core, pc, line, is_write, l1)
                 if l1pf_offsets:
-                    for offset in l1pf_offsets:
-                        prefetch(core, line + offset, pc, "l1")
+                    prefetch_l1(core, line, pc, l1pf_offsets)
                 if outcome:
                     pf = prefetchers[core]
                     if pf is None:
@@ -236,7 +236,7 @@ def simulate_multicore(
                             hierarchy.traffic.add("metadata", metadata_bytes)
                             per_core_metadata_bytes[core] += metadata_bytes
         for core, front in enumerate(fronts):
-            hierarchy.count_demand(core, front.l1, start, stop)
+            hierarchy.close_segment(core, front.l1, start, stop)
         close_epoch(stop - start)
 
     per_core_results = []

@@ -28,6 +28,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.memory.hierarchy import (
+    DRAM_FILL,
     L1D_HIT,
     L2_PF_L2,
     LLC_HIT,
@@ -156,6 +157,8 @@ def simulate_queued(
 
     feedback = pf is not None and pf.wants_feedback
     drains = pf is not None and pf.offchip_metadata
+    # The stride prefetches of one access that filled the L2.
+    fills: List[tuple] = []
     trace_length = len(trace)
     for index, (pc, addr, is_write, l1, l1pf_offsets) in enumerate(
         zip(trace.pcs, trace.addrs, trace.writes, front.l1, front.l1pf)
@@ -190,13 +193,14 @@ def simulate_queued(
             wait_for_window()
             heapq.heappush(outstanding, dram.service(line, now, is_write=False))
 
-        for offset in l1pf_offsets:
-            target = line + offset
-            source = hierarchy.prefetch(0, target, pc, kind="l1")
-            if source == "dram":
-                ready_at[target] = dram.service(target, now)
-            elif source == "llc":
-                ready_at[target] = now + llc_latency
+        if l1pf_offsets:
+            hierarchy.prefetch_l1(0, line, pc, l1pf_offsets, fills)
+            for target, source in fills:
+                if source == DRAM_FILL:
+                    ready_at[target] = dram.service(target, now)
+                else:
+                    ready_at[target] = now + llc_latency
+            fills.clear()
 
         if pf is not None and trains_l2_prefetcher(outcome):
             candidates = pf.observe(pc, line, prefetch_hit=outcome == L2_PF_L2)
@@ -208,11 +212,11 @@ def simulate_queued(
                 source = hierarchy.prefetch(0, candidate.line, pc)
                 if feedback:
                     (candidate.owner or pf).feedback(candidate, source)
-                if source == "dram":
+                if source == DRAM_FILL:
                     done = dram.service(candidate.line, now, is_write=False)
                     ready_at[candidate.line] = done
                     prefetch_queue_free = done
-                elif source == "llc":
+                elif source == LLC_HIT:
                     ready_at[candidate.line] = now + llc_latency
             metadata_bytes = pf.drain_metadata_traffic() if drains else 0
             if metadata_bytes:
@@ -231,7 +235,7 @@ def simulate_queued(
     while outstanding:
         now = max(now, heapq.heappop(outstanding))
     measured_from = warmup_accesses if warmup_accesses < trace_length else 0
-    hierarchy.count_demand(0, front.l1, measured_from, trace_length)
+    hierarchy.close_segment(0, front.l1, measured_from, trace_length)
 
     measured_accesses = len(trace) - min(warmup_accesses, len(trace))
     traffic = {

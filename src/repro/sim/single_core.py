@@ -313,6 +313,7 @@ def simulate(
     # Bound once: these run on every access.
     access = hierarchy.access
     prefetch = hierarchy.prefetch
+    prefetch_l1 = hierarchy.prefetch_l1
     feedback = pf is not None and pf.wants_feedback
     drains = pf is not None and pf.offchip_metadata
     observe = pf.observe if pf is not None else None
@@ -346,9 +347,7 @@ def simulate(
             # plain L2 hit (0) trains nothing.
             outcome = 0 if l1 == L1D_HIT else access(0, pc, line, is_write, l1)
             if l1pf_offsets:
-                # The stride prefetcher's prefetches for this access.
-                for offset in l1pf_offsets:
-                    prefetch(0, line + offset, pc, "l1")
+                prefetch_l1(0, line, pc, l1pf_offsets)
             if outcome and observe is not None:
                 candidates = observe(pc, line, outcome == L2_PF_L2)
                 for candidate in candidates:
@@ -359,7 +358,7 @@ def simulate(
                     metadata_bytes = pf.drain_metadata_traffic()
                     if metadata_bytes:
                         hierarchy.traffic.add("metadata", metadata_bytes)
-        hierarchy.count_demand(0, front.l1, start, stop)
+        hierarchy.close_segment(0, front.l1, start, stop)
         close_epoch(stop - start)
 
     metadata_llc = sum(t.store.llc_accesses for t in triages) - metadata_llc_offset

@@ -15,7 +15,8 @@ class Demand:
     def __call__(self, core, pc, addr, is_write=False):
         line = addr >> 6
         codes = self.l1s[core].run([line], [is_write])
-        self.hierarchy.count_demand(core, codes, 0, 1)
-        if codes[0] == L1D_HIT:
-            return L1D_HIT
-        return self.hierarchy.access(core, pc, line, is_write, codes[0])
+        outcome = codes[0]
+        if outcome != L1D_HIT:
+            outcome = self.hierarchy.access(core, pc, line, is_write, outcome)
+        self.hierarchy.close_segment(core, codes, 0, 1)
+        return outcome

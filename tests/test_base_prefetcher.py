@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.triage import TriageConfig, TriagePrefetcher
+from repro.memory.hierarchy import DRAM_FILL
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 
 
@@ -33,7 +34,7 @@ def test_drain_metadata_traffic_resets():
 
 def test_feedback_and_epoch_tick_default_noop():
     pf = BasePrefetcher()
-    pf.feedback(PrefetchCandidate(1), "dram")
+    pf.feedback(PrefetchCandidate(1), DRAM_FILL)
     pf.epoch_tick()
 
 

@@ -37,8 +37,8 @@ def test_event_training_stream_membership():
     assert trains_l2_prefetcher(L2_PF_L1)
     # The same facts on outcomes the hierarchy actually returns.
     h, demand = _hierarchy()
-    h.prefetch(0, line=0x3080 >> 6, kind="l2")
-    h.prefetch(0, line=0x40C0 >> 6, kind="l1")
+    h.prefetch(0, line=0x3080 >> 6)
+    h.prefetch_l1(0, line=0x40C0 >> 6, pc=0, offsets=(0,))
     dram = demand(0, 1, 0x1000)
     l1 = demand(0, 1, 0x1000)
     l2_prefetch = demand(0, 1, 0x3080)
@@ -53,8 +53,8 @@ def test_event_l2_prefetch_hit_property():
     """Only a first touch of a line the L2 prefetcher brought in is an
     L2 prefetch hit; the stride prefetcher's and plain hits are not."""
     h, demand = _hierarchy()
-    h.prefetch(0, line=9, kind="l2")
-    h.prefetch(0, line=10, kind="l1")
+    h.prefetch(0, line=9)
+    h.prefetch_l1(0, line=10, pc=0, offsets=(0,))
     assert demand(0, 1, 9 * 64) == L2_PF_L2
     assert demand(0, 1, 10 * 64) == L2_PF_L1
     # The next touch the L1D misses is a plain L2 hit.
@@ -68,7 +68,7 @@ def test_training_stream_sequence_matches_paper_figure4():
     observed = []
     # Distinct L2 sets so fills never evict the prefetched line.
     script = [0x1000, 0x1000, 0x2040, 0x1000]
-    h.prefetch(0, line=0x3080 >> 6, kind="l2")
+    h.prefetch(0, line=0x3080 >> 6)
     script.append(0x3080)
     for addr in script:
         outcome = demand(0, 1, addr)

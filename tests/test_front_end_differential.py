@@ -247,6 +247,9 @@ CODES = {
     ("dram", None): DRAM_FILL,
 }
 
+#: The oracle's prefetch sources as the hierarchy's codes.
+SOURCES = {"redundant": L2_HIT, "llc": LLC_HIT, "dram": DRAM_FILL}
+
 #: Offset of the stand-in L2 prefetcher's one prefetch per training event.
 L2PF_OFFSET = 3
 
@@ -305,7 +308,6 @@ def run_both(traces, machine: MachineConfig, steps: int, resize=None):
             line = addr >> 6
             want = CODES[oracle.access(core, pc, addr, is_write)]
             code = fronts[core].l1[step]
-            new.count_demand(core, fronts[core].l1, step, step + 1)
             got = code if code == L1D_HIT else new.access(core, pc, line, is_write, code)
             where = f"step {step} core {core}"
             assert got == want, where
@@ -313,17 +315,21 @@ def run_both(traces, machine: MachineConfig, steps: int, resize=None):
                 targets = [c.line for c in strides[core].observe(pc, line)]
                 offsets = fronts[core].l1pf[step]
                 assert [line + o for o in offsets] == targets, where
-                for target in targets:
-                    assert new.prefetch(core, target, pc, "l1") == oracle.prefetch(
-                        core, target, pc, kind="l1"
-                    ), where
+                sources = [
+                    (target, SOURCES[oracle.prefetch(core, target, pc, kind="l1")])
+                    for target in targets
+                ]
+                fills = []
+                new.prefetch_l1(core, line, pc, offsets, fills)
+                assert fills == [item for item in sources if item[1] != L2_HIT], where
             else:
                 assert fronts[core].l1pf[step] == ()
             if want not in (L1D_HIT, L2_HIT):
                 target = line + L2PF_OFFSET
-                assert new.prefetch(core, target, pc) == oracle.prefetch(
-                    core, target, pc
-                ), where
+                assert new.prefetch(core, target, pc) == SOURCES[
+                    oracle.prefetch(core, target, pc)
+                ], where
+            new.close_segment(core, fronts[core].l1, step, step + 1)
             assert_same_state(oracle, new, where)
     return oracle
 

@@ -55,13 +55,16 @@ def test_l2_hit_after_l1_eviction():
 def test_prefetch_paths():
     h, demand = small_hierarchy()
     # Cold prefetch -> DRAM, counted as prefetch traffic.
-    assert h.prefetch(0, line=5) == "dram"
+    assert h.prefetch(0, line=5) == DRAM_FILL
     assert h.traffic_bytes()["prefetch"] == 64
     # Already in L2 -> redundant.
-    assert h.prefetch(0, line=5) == "redundant"
+    assert h.prefetch(0, line=5) == L2_HIT
     c = h.counters[0]
-    assert c.prefetches_issued == 1
+    assert c.prefetch_fills_from_dram == 1
     assert c.prefetches_redundant == 1
+    # Issued prefetches are derived when a segment closes.
+    h.close_segment(0, [], 0, 0)
+    assert c.prefetches_issued == 1
 
 
 def test_prefetch_from_llc_moves_without_traffic():
@@ -73,13 +76,13 @@ def test_prefetch_from_llc_moves_without_traffic():
         demand(0, 1, (7 + i * sets_l2) * 64)
     assert not h.l2s[0].contains(7)
     before = sum(h.traffic_bytes().values())
-    assert h.prefetch(0, line=7) == "llc"
+    assert h.prefetch(0, line=7) == LLC_HIT
     assert sum(h.traffic_bytes().values()) == before
 
 
 def test_prefetch_hit_reported_once_and_kind_tagged():
     h, demand = small_hierarchy()
-    h.prefetch(0, line=9, kind="l2")
+    h.prefetch(0, line=9)
     assert demand(0, 1, 9 * 64) == L2_PF_L2
     assert h.counters[0].l2_prefetch_hits == 1
     # Reported once: the prefetch mark is gone after the first touch
@@ -89,12 +92,26 @@ def test_prefetch_hit_reported_once_and_kind_tagged():
 
 def test_l1_prefetch_kind_counted_separately():
     h, demand = small_hierarchy()
-    h.prefetch(0, line=9, kind="l1")
+    h.prefetch_l1(0, line=8, pc=0, offsets=(1,))
     assert demand(0, 1, 9 * 64) == L2_PF_L1
     c = h.counters[0]
     assert c.l1pf_useful == 1
     assert c.l2_prefetch_hits == 0
     assert c.l1pf_issued == 1
+
+
+def test_l1_prefetches_issue_in_order_and_report_fills():
+    h, demand = small_hierarchy()
+    demand(0, 1, 0x40 * 7)  # line 7 in the L2 and the LLC
+    fills = []
+    # Line 7 is redundant; 9 comes from DRAM.
+    h.prefetch_l1(0, line=6, pc=0, offsets=(1, 3), fills=fills)
+    assert fills == [(9, DRAM_FILL)]
+    c = h.counters[0]
+    assert (c.l1pf_issued, c.l1pf_redundant, c.l1pf_fills_from_dram) == (1, 1, 1)
+    assert h.traffic_bytes()["prefetch"] == 64
+    # The L2 prefetcher's counters are untouched.
+    assert c.prefetches_redundant == c.prefetch_fills_from_dram == 0
 
 
 def test_trains_l2_prefetcher_stream():

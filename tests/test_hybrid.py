@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.memory.hierarchy import DRAM_FILL
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 from repro.prefetchers.hybrid import HybridPrefetcher
 
@@ -43,9 +44,9 @@ def test_feedback_routes_to_owner():
     b = FakePrefetcher("b", [2])
     hybrid = HybridPrefetcher([a, b])
     for candidate in hybrid.observe(0, 0):
-        hybrid.feedback(candidate, "dram")
-    assert a.feedback_log == [(1, "dram")]
-    assert b.feedback_log == [(2, "dram")]
+        hybrid.feedback(candidate, DRAM_FILL)
+    assert a.feedback_log == [(1, DRAM_FILL)]
+    assert b.feedback_log == [(2, DRAM_FILL)]
 
 
 def test_metadata_traffic_summed():

@@ -1,8 +1,11 @@
 """Unit tests for Spatial Memory Streaming."""
 
-import pytest
+from collections import OrderedDict
 
-from repro.prefetchers.sms import SmsPrefetcher
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.prefetchers.sms import SmsPrefetcher, relative_offsets
 
 
 def region_lines(pf):
@@ -84,3 +87,114 @@ def test_pht_capacity_lru():
     pf.observe(0xC, 5 * rl)  # evictions push both footprints through PHT
     pf.flush_training()
     assert len(pf._pht) <= 1
+
+
+# -- the rotation and the stored offsets against the bit loop they replace --
+
+
+def loop_rotate(footprint, trigger_offset, region_lines):
+    """The footprint rotation as a loop over the region's bits."""
+    relative = 0
+    for bit in range(region_lines):
+        if footprint & (1 << bit):
+            rel = (bit - trigger_offset) % region_lines
+            if rel != 0:
+                relative |= 1 << rel
+    return relative
+
+
+def loop_candidates(relative, line, region_lines):
+    """The lines a relative footprint prefetches for a trigger at
+    ``line``, found by testing each of its bits in turn."""
+    region, offset = divmod(line, region_lines)
+    base = region * region_lines
+    return [
+        base + (offset + rel) % region_lines
+        for rel in range(1, region_lines)
+        if relative >> rel & 1
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    footprint=st.integers(0, (1 << 32) - 1),
+    line=st.integers(0, 1 << 40),
+)
+def test_rotation_and_offsets_match_the_bit_loop(footprint, line):
+    pf = SmsPrefetcher()
+    rl = pf.region_lines
+    assert rl == 32
+    for trigger in range(rl):
+        relative = pf._rotate(footprint, trigger)
+        assert relative == loop_rotate(footprint, trigger, rl), trigger
+        offsets = relative_offsets(relative, rl)
+        assert list(offsets) == sorted(offsets)
+        region_base = line - line % rl
+        assert [
+            region_base + (line % rl + rel) % rl for rel in offsets
+        ] == loop_candidates(relative, line, rl), trigger
+
+
+class LoopSms:
+    """SMS with each PHT pattern kept as a relative bitmask, rotated and
+    expanded by bit loops, and OrderedDict tables."""
+
+    def __init__(self, filter_entries, accumulation_entries, pht_entries):
+        self.region_lines = 32
+        self.sizes = (filter_entries, accumulation_entries, pht_entries)
+        self.filter = OrderedDict()
+        self.accumulation = OrderedDict()
+        self.pht = OrderedDict()
+
+    def observe(self, pc, line):
+        region, offset = divmod(line, self.region_lines)
+        acc = self.accumulation.get(region)
+        if acc is not None:
+            signature, footprint = acc
+            self.accumulation[region] = (signature, footprint | 1 << offset)
+            self.accumulation.move_to_end(region)
+            return []
+        signature = self.filter.pop(region, None)
+        if signature is not None:
+            if len(self.accumulation) >= self.sizes[1]:
+                _, (old, footprint) = self.accumulation.popitem(last=False)
+                self.store(old, footprint)
+            self.accumulation[region] = (signature, 1 << signature[1] | 1 << offset)
+            return []
+        if len(self.filter) >= self.sizes[0]:
+            self.filter.popitem(last=False)
+        self.filter[region] = (pc, offset)
+        relative = self.pht.get((pc, offset))
+        if relative is None:
+            return []
+        self.pht.move_to_end((pc, offset))
+        return loop_candidates(relative, line, self.region_lines)
+
+    def store(self, signature, footprint):
+        relative = loop_rotate(footprint, signature[1], self.region_lines)
+        if relative == 0:
+            return
+        if len(self.pht) >= self.sizes[2]:
+            self.pht.popitem(last=False)
+        self.pht[signature] = relative
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    accesses=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 31)),
+        min_size=1,
+        max_size=300,
+    ),
+    sizes=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+)
+def test_candidates_match_the_bit_loop_sms(accesses, sizes):
+    """Random (pc, region, offset) streams on small tables: every
+    observe returns the same lines in the same order."""
+    pf = SmsPrefetcher(
+        filter_entries=sizes[0], accumulation_entries=sizes[1], pht_entries=sizes[2]
+    )
+    ref = LoopSms(*sizes)
+    for pc, region, offset in accesses:
+        line = region * 32 + offset
+        assert [c.line for c in pf.observe(pc, line)] == ref.observe(pc, line)

@@ -1,5 +1,7 @@
 """Unit tests for the PC-stride prefetcher."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.prefetchers.stride import StridePrefetcher
 
 
@@ -50,6 +52,16 @@ def test_zero_stride_ignored():
     assert all(r == [] for r in results)
 
 
+def test_negative_stride_drops_targets_below_line_one():
+    pf = StridePrefetcher(degree=3)
+    results = feed(pf, 0x400, [9, 7, 5, 3, 1])
+    assert results[2:] == [[3, 1], [1], []]
+    offsets = StridePrefetcher(degree=3)
+    assert [offsets.offsets(0x400, line) for line in (9, 7, 5, 3, 1)] == [
+        (), (), (-2, -4), (-2,), ()
+    ]
+
+
 def test_table_capacity_lru():
     pf = StridePrefetcher(degree=1, table_size=2)
     feed(pf, 0xA, [10, 12, 14, 16])
@@ -57,3 +69,29 @@ def test_table_capacity_lru():
     feed(pf, 0xC, [200, 202])  # evicts 0xA
     # 0xA must relearn from scratch.
     assert feed(pf, 0xA, [18])[-1] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    accesses=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(-3, 4)), min_size=1, max_size=200
+    ),
+    degree=st.integers(1, 3),
+    table_size=st.integers(1, 4),
+)
+def test_observe_and_offsets_agree(accesses, degree, table_size):
+    """One stream through ``observe`` and through ``offsets`` (what the
+    front end replays): the same lines, in the same order, at every
+    access.  Strides run both ways from lines near 0, so negative
+    strides reach the targets below line 1 that are dropped."""
+    by_observe = StridePrefetcher(degree=degree, table_size=table_size)
+    by_offsets = StridePrefetcher(degree=degree, table_size=table_size)
+    lines = {}
+    for pc, step in accesses:
+        line = lines[pc] = max(0, lines.get(pc, 5) + step)
+        offsets = by_offsets.offsets(pc, line)
+        assert isinstance(offsets, tuple)
+        assert [c.line for c in by_observe.observe(pc, line)] == [
+            line + offset for offset in offsets
+        ]
+        assert all(line + offset > 0 for offset in offsets)

@@ -1,6 +1,7 @@
 """Unit tests for the Triage prefetcher itself."""
 
 from repro.core.triage import TriageConfig, TriagePrefetcher
+from repro.memory.hierarchy import DRAM_FILL, L2_HIT
 from repro.prefetchers.base import PrefetchCandidate
 
 KB = 1024
@@ -79,9 +80,9 @@ def test_feedback_trains_only_nonredundant():
     assert len(candidates) == 1
     policy = pf.store._policy
     before = sum(s.accesses for s in policy._samplers.values())
-    pf.feedback(candidates[0], "redundant")
+    pf.feedback(candidates[0], L2_HIT)
     assert sum(s.accesses for s in policy._samplers.values()) == before
-    pf.feedback(candidates[0], "dram")
+    pf.feedback(candidates[0], DRAM_FILL)
     assert sum(s.accesses for s in policy._samplers.values()) == before + 1
 
 

@@ -207,10 +207,9 @@ def test_degenerate_end_to_end_prefetch_stream_bit_identical(monkeypatch):
     streams = {}
 
     def recording(tag):
-        def patched(self, core, line, pc=0, kind="l2"):
-            if kind == "l2":
-                streams[tag].append(line)
-            return real(self, core, line, pc, kind)
+        def patched(self, core, line, pc=0):
+            streams[tag].append(line)
+            return real(self, core, line, pc)
 
         return patched
 
