@@ -17,14 +17,12 @@ the irregular suite (paper Figures 5/6).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.memory.address import LINE_SHIFT
 from repro.prefetchers.base import BasePrefetcher, PrefetchCandidate
 
 
-@lru_cache(maxsize=4096)
 def relative_offsets(relative: int, region_lines: int) -> Tuple[int, ...]:
     """The set bits of a trigger-relative footprint, ascending."""
     return tuple([rel for rel in range(1, region_lines) if relative >> rel & 1])
@@ -65,6 +63,9 @@ class SmsPrefetcher(BasePrefetcher):
         # SMS paper anchors patterns at the trigger access so they
         # generalize across regions).
         self._pht: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        # relative footprint -> its offsets tuple, shared by the PHT
+        # entries that hold it; never more entries than the PHT.
+        self._offsets_of: Dict[int, Tuple[int, ...]] = {}
 
     def observe(
         self, pc: int, line: int, prefetch_hit: bool = False
@@ -128,7 +129,13 @@ class SmsPrefetcher(BasePrefetcher):
         pht = self._pht
         if len(pht) >= self.pht_entries:
             del pht[next(iter(pht))]
-        pht[signature] = relative_offsets(relative, self.region_lines)
+        offsets_of = self._offsets_of
+        offsets = offsets_of.get(relative)
+        if offsets is None:
+            if len(offsets_of) >= self.pht_entries:
+                offsets_of.clear()
+            offsets = offsets_of[relative] = relative_offsets(relative, self.region_lines)
+        pht[signature] = offsets
 
     def _rotate(self, footprint: int, trigger_offset: int) -> int:
         """Footprint re-expressed relative to the trigger (bit 0 dropped):
