@@ -105,7 +105,8 @@ class SmsPrefetcher(BasePrefetcher):
     ) -> List[PrefetchCandidate]:
         """A PHT pattern's candidates for a trigger at ``offset`` in the
         region starting at line ``region_base``, in ascending relative
-        offset."""
+        offset.  (A comprehension inside :meth:`observe` would turn the
+        locals it reads into closure cells on every call.)"""
         region_lines = self.region_lines
         return [
             PrefetchCandidate(region_base + (offset + rel) % region_lines, None, self)
